@@ -94,16 +94,37 @@ impl Table {
 /// exposed so streaming writers (which never materialize a `Table`) emit
 /// byte-identical rows. Includes the trailing newline.
 pub fn csv_line<'a>(cells: impl IntoIterator<Item = &'a str>) -> String {
-    fn cell(s: &str) -> String {
-        if s.contains([',', '"', '\n']) {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
+    let mut out = String::new();
+    for (i, cell) in cells.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        let start = out.len();
+        out.push_str(cell);
+        quote_csv_field(&mut out, start);
     }
-    let mut out = cells.into_iter().map(cell).collect::<Vec<_>>().join(",");
     out.push('\n');
     out
+}
+
+/// Quote the CSV field already rendered into `out[start..]`, in place,
+/// when it contains a comma, quote, or newline (inner quotes doubled).
+/// The repository's one CSV quoting routine: encoders render a field
+/// straight into their buffer and call this, so a plain field costs no
+/// allocation.
+pub(crate) fn quote_csv_field(out: &mut String, start: usize) {
+    if !out[start..].contains([',', '"', '\n']) {
+        return;
+    }
+    let raw = out.split_off(start);
+    out.push('"');
+    for c in raw.chars() {
+        if c == '"' {
+            out.push('"');
+        }
+        out.push(c);
+    }
+    out.push('"');
 }
 
 impl fmt::Display for Table {
@@ -187,5 +208,19 @@ mod tests {
         assert_eq!(lines[0], "a,b");
         assert_eq!(lines[1], "plain,\"with,comma\"");
         assert!(lines[2].starts_with("\"has \"\"quote\"\"\","));
+    }
+
+    #[test]
+    fn quoting_applies_to_the_rendered_tail_only() {
+        let mut out = String::from("keep,\"this\",");
+        let start = out.len();
+        out.push_str("say \"hi\", then\nleave");
+        quote_csv_field(&mut out, start);
+        assert_eq!(out, "keep,\"this\",\"say \"\"hi\"\", then\nleave\"");
+        let start = out.len();
+        out.push_str(",plain");
+        quote_csv_field(&mut out, start + 1);
+        assert!(out.ends_with(",plain"), "a plain field is left alone");
+        assert_eq!(csv_line(["a", "b,c", ""]), "a,\"b,c\",\n");
     }
 }

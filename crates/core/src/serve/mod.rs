@@ -838,14 +838,13 @@ impl<'a> ShardFramer<'a> {
         self.flush_rows()?;
         self.out.write_all(protocol::done_frame(self.id, cells, errors).as_bytes())
     }
-}
 
-impl Write for ShardFramer<'_> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+    /// Frame every complete line of `buf` from `*start` on, advancing
+    /// `*start` past each line as it is consumed.
+    fn frame_lines(&mut self, start: &mut usize) -> io::Result<()> {
+        while let Some(len) = self.buf[*start..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&self.buf[*start..*start + len]).into_owned();
+            *start += len + 1;
             if self.sent_header {
                 self.rows.push(line);
                 if self.rows.len() >= self.shard {
@@ -860,7 +859,20 @@ impl Write for ShardFramer<'_> {
                 )?;
             }
         }
-        Ok(data.len())
+        Ok(())
+    }
+}
+
+impl Write for ShardFramer<'_> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        self.buf.extend_from_slice(data);
+        // Scan with a cursor and drop the consumed lines once per write:
+        // draining per line would shift the rest of a chunk-sized buffer
+        // every time.
+        let mut consumed = 0;
+        let framed = self.frame_lines(&mut consumed);
+        self.buf.drain(..consumed);
+        framed.map(|()| data.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -1146,5 +1158,32 @@ mod tests {
         assert!(lines[1].contains("\"rows\":[\"1,2,3\",\"4,5,6\"]"), "{text}");
         assert!(lines[2].contains("\"rows\":[\"7,8,9\"]"), "{text}");
         assert!(lines[3].contains("\"status\":\"done\"") && lines[3].contains("\"errors\":1"));
+    }
+
+    #[test]
+    fn shard_framer_frames_are_independent_of_write_boundaries() {
+        let csv = sweep::to_csv(&sweep::run_serial(
+            &crate::runner::Ctx::new(),
+            &sweep::fault_ttt(),
+            None,
+        ));
+        let frame = |byte_at_a_time: bool| {
+            let mut sink: Vec<u8> = Vec::new();
+            let out: &mut dyn Write = &mut sink;
+            let mut f = ShardFramer::new(&mut *out, "q", "fault_ttt", 15, 4);
+            if byte_at_a_time {
+                for b in csv.as_bytes() {
+                    f.write_all(std::slice::from_ref(b)).unwrap();
+                }
+            } else {
+                f.write_all(csv.as_bytes()).unwrap();
+            }
+            f.finish(15, 0).unwrap();
+            sink
+        };
+        let whole = frame(false);
+        assert_eq!(frame(true), whole);
+        // Header frame, four `rows` frames (4 + 4 + 4 + 3), done frame.
+        assert_eq!(whole.iter().filter(|&&b| b == b'\n').count(), 6);
     }
 }

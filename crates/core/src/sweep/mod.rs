@@ -29,7 +29,7 @@ pub use cache::{DiskCache, DiskStats};
 pub use replication::{Replication, ReplicationScratch, RunStats, MAX_RUNS, REPLICATION_SEED};
 
 use crate::benchmark::BenchmarkId;
-use crate::report::Table;
+use crate::report::{csv_line, quote_csv_field};
 use crate::runner::{Ctx, Pool, TrainPoint};
 use mlperf_data::storage::StorageDevice;
 use mlperf_hw::systems::SystemId;
@@ -805,59 +805,112 @@ pub(crate) fn csv_headers(kind: CellKind, runs: u32, partitioned: bool) -> Vec<&
     headers
 }
 
-/// Render one cell as its CSV row cells (unquoted). Shared between
-/// [`to_csv`] and [`run_streamed`] so the streamed file is byte-identical
-/// to the in-memory rendering. `runs` must match the header the row goes
-/// under: it sizes the dash padding of degraded rows; `partitioned`
-/// likewise gates the partition cell.
-fn row_cells(kind: CellKind, runs: u32, partitioned: bool, cell: &CellResult) -> Vec<String> {
+/// Append one cell's CSV row (trailing newline included) to `out`: the
+/// sweep's one row encoder, shared by [`to_csv`] and [`run_streamed`] so
+/// the streamed file is byte-identical to the in-memory rendering. Every
+/// field renders straight into `out` and is quoted in place by the
+/// table's own routine, so a row costs no per-field allocation. `runs`
+/// must match the header the row goes under: it sizes the dash padding
+/// of degraded rows; `partitioned` likewise gates the partition cell.
+fn encode_row(out: &mut String, kind: CellKind, runs: u32, partitioned: bool, cell: &CellResult) {
+    use std::fmt::Write as _;
+    /// Render one field into `out`, quote it in place, add the separator.
+    fn field(out: &mut String, render: impl FnOnce(&mut String)) {
+        let start = out.len();
+        render(out);
+        quote_csv_field(out, start);
+        out.push(',');
+    }
+    // `write!` into a `String` cannot fail, hence every `let _ =` below.
     let s = &cell.spec;
-    let mut row = vec![
-        s.workload.map_or("-", BenchmarkId::abbreviation).to_string(),
-        s.system
-            .map_or_else(|| "-".to_string(), |x| x.name().replace(' ', "_")),
-        s.gpus.map_or_else(|| "-".to_string(), |g| g.to_string()),
-        s.batch.map_or_else(|| "-".to_string(), |b| b.to_string()),
-        s.precision.map_or("-", |p| match p {
+    field(out, |o| o.push_str(s.workload.map_or("-", BenchmarkId::abbreviation)));
+    field(out, |o| match s.system {
+        None => o.push('-'),
+        Some(x) => {
+            for (i, part) in x.name().split(' ').enumerate() {
+                if i > 0 {
+                    o.push('_');
+                }
+                o.push_str(part);
+            }
+        }
+    });
+    field(out, |o| match s.gpus {
+        None => o.push('-'),
+        Some(g) => {
+            let _ = write!(o, "{g}");
+        }
+    });
+    field(out, |o| match s.batch {
+        None => o.push('-'),
+        Some(b) => {
+            let _ = write!(o, "{b}");
+        }
+    });
+    field(out, |o| {
+        o.push_str(s.precision.map_or("-", |p| match p {
             PrecisionPolicy::Fp32 => "fp32",
             PrecisionPolicy::Amp => "amp",
-        })
-        .to_string(),
-        s.mtbf_hours
-            .map_or_else(|| "-".to_string(), |m| format!("{m:.1}")),
-        match s.interval {
-            None => "-".to_string(),
-            Some(IntervalChoice::Daly) => "daly".to_string(),
-            Some(IntervalChoice::FixedMin(m)) => format!("{m:.1}min"),
-        },
-    ];
+        }));
+    });
+    field(out, |o| match s.mtbf_hours {
+        None => o.push('-'),
+        Some(m) => {
+            let _ = write!(o, "{m:.1}");
+        }
+    });
+    field(out, |o| match s.interval {
+        None => o.push('-'),
+        Some(IntervalChoice::Daly) => o.push_str("daly"),
+        Some(IntervalChoice::FixedMin(m)) => {
+            let _ = write!(o, "{m:.1}min");
+        }
+    });
     if partitioned {
-        row.push(s.partition.map_or_else(|| "full".to_string(), |p| p.to_string()));
+        field(out, |o| match s.partition {
+            None => o.push_str("full"),
+            Some(p) => {
+                let _ = write!(o, "{p}");
+            }
+        });
     }
     match &cell.outcome {
         Ok(v) => {
-            row.push("ok".to_string());
-            row.extend(v.values().iter().map(|x| format!("{x:.4}")));
-            row.push("-".to_string());
+            out.push_str("ok,");
+            for x in v.values() {
+                field(out, |o| {
+                    let _ = write!(o, "{x:.4}");
+                });
+            }
+            out.push('-');
         }
         Err(e) => {
-            row.push("error".to_string());
-            let width = kind.columns().len()
-                + if runs > 1 { kind.run_columns().len() } else { 0 };
-            row.extend(std::iter::repeat_n("-".to_string(), width));
-            row.push(e.kind.clone());
+            out.push_str("error,");
+            let width =
+                kind.columns().len() + if runs > 1 { kind.run_columns().len() } else { 0 };
+            for _ in 0..width {
+                out.push_str("-,");
+            }
+            let start = out.len();
+            out.push_str(&e.kind);
+            quote_csv_field(out, start);
         }
     }
-    row
+    out.push('\n');
 }
+
+/// Bytes per row to reserve up front (a point row of the million-cell
+/// grid averages about 65).
+const ROW_BYTES: usize = 80;
 
 /// Render a run as a long-form CSV: one row per cell in expansion order.
 pub fn to_csv(run: &SweepRun) -> String {
-    let mut t = Table::new("", csv_headers(run.kind, run.runs, run.partitioned));
+    let mut out = csv_line(csv_headers(run.kind, run.runs, run.partitioned));
+    out.reserve(run.cells.len() * ROW_BYTES);
     for cell in &run.cells {
-        t.add_row(row_cells(run.kind, run.runs, run.partitioned, cell));
+        encode_row(&mut out, run.kind, run.runs, run.partitioned, cell);
     }
-    t.to_csv()
+    out
 }
 
 /// What a streamed sweep did (the rows themselves went to the writer).
@@ -875,13 +928,52 @@ pub struct StreamSummary {
     pub peak_resident: usize,
 }
 
-/// Run a sweep in shards of `shard` cells, writing each row as soon as
-/// its shard completes: the grid is never materialized, so a 10⁶-cell
-/// sweep runs in memory bounded by the shard size. Cells are decoded
-/// one shard at a time via [`SweepSpec::cell_at`], priced on the pool
-/// (expansion order preserved), rendered through the same row/quoting
-/// code as [`to_csv`], and dropped. The emitted bytes are identical to
-/// `to_csv(&run_pooled(..))`.
+/// Pool tasks per worker for each shard of [`run_streamed`]: enough that
+/// a worker that drew cheap (rejected) cells can steal from one that drew
+/// expensive ones, few enough that the hand-off stays per chunk rather
+/// than per cell.
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// One chunk of a streamed shard, priced and encoded by one pool task.
+struct EncodedChunk {
+    rows: String,
+    errors: usize,
+    disk_hits: usize,
+}
+
+/// The whole pipeline for one chunk of `spec`'s cells: expand, price
+/// through [`run_cell`] (disk cache included), and encode the rows into a
+/// buffer of the chunk's own. `partitioned` is `spec.partitioned()`,
+/// worked out once per sweep rather than per chunk.
+fn encode_chunk(
+    ctx: &Ctx,
+    spec: &SweepSpec,
+    cache: Option<&DiskCache>,
+    partitioned: bool,
+    cells: std::ops::Range<usize>,
+) -> EncodedChunk {
+    let mut chunk = EncodedChunk {
+        rows: String::with_capacity(cells.len() * ROW_BYTES),
+        errors: 0,
+        disk_hits: 0,
+    };
+    for i in cells {
+        let cell = run_cell(ctx, &spec.cell_at(i), cache);
+        chunk.errors += usize::from(cell.outcome.is_err());
+        chunk.disk_hits += usize::from(cell.from_disk);
+        encode_row(&mut chunk.rows, spec.kind, ctx.runs(), partitioned, &cell);
+    }
+    chunk
+}
+
+/// Run a sweep in shards of `shard` cells, writing each shard's rows as
+/// soon as the shard completes: the grid is never materialized, so a
+/// 10⁶-cell sweep runs in memory bounded by the shard size. Each shard
+/// is split into a few contiguous chunks per pool worker; one task per
+/// chunk expands its cells via [`SweepSpec::cell_at`], prices them, and
+/// encodes the rows with the same encoder as [`to_csv`]. The calling
+/// thread writes the chunk buffers in expansion order. The emitted bytes
+/// are identical to `to_csv(&run_pooled(..))`.
 ///
 /// # Errors
 ///
@@ -897,9 +989,8 @@ pub fn run_streamed(
 ) -> std::io::Result<StreamSummary> {
     let shard = shard.max(1);
     let total = spec.len();
-    let runs = ctx.runs();
     let partitioned = spec.partitioned();
-    out.write_all(crate::report::csv_line(csv_headers(spec.kind, runs, partitioned)).as_bytes())?;
+    out.write_all(csv_line(csv_headers(spec.kind, ctx.runs(), partitioned)).as_bytes())?;
     let mut summary = StreamSummary {
         cells: 0,
         errors: 0,
@@ -909,28 +1000,25 @@ pub fn run_streamed(
     let mut start = 0;
     while start < total {
         let end = (start + shard).min(total);
-        let specs: Vec<CellSpec> = (start..end).map(|i| spec.cell_at(i)).collect();
-        // A single worker gains nothing from task dispatch; pricing the
-        // shard inline skips the per-cell channel round-trip. Order is
-        // identical either way (`run_all` preserves submission order).
-        let results: Vec<CellResult> = if pool.workers() <= 1 {
-            specs.iter().map(|c| run_cell(ctx, c, cache)).collect()
+        let len = end - start;
+        let chunks = (CHUNKS_PER_WORKER * pool.workers()).min(len);
+        // Chunk k covers [bound(k), bound(k + 1)): contiguous, sizes
+        // within one of each other, and never past the shard's end.
+        let bound = |k: usize| (start + k * len / chunks).min(end);
+        let chunk = |k: usize| encode_chunk(ctx, spec, cache, partitioned, bound(k)..bound(k + 1));
+        let encoded: Vec<EncodedChunk> = if pool.workers() <= 1 {
+            // A single worker gains nothing from task dispatch; run the
+            // same chunks inline on the calling thread.
+            (0..chunks).map(chunk).collect()
         } else {
-            let tasks: Vec<_> = specs
-                .iter()
-                .map(|c| move || run_cell(ctx, c, cache))
-                .collect();
-            pool.run_all(tasks)
+            pool.run_all((0..chunks).map(|k| move || chunk(k)).collect())
         };
-        summary.peak_resident = summary.peak_resident.max(results.len());
-        for cell in &results {
-            summary.cells += 1;
-            summary.errors += usize::from(cell.outcome.is_err());
-            summary.disk_hits += usize::from(cell.from_disk);
-            let row = row_cells(spec.kind, runs, partitioned, cell);
-            out.write_all(
-                crate::report::csv_line(row.iter().map(String::as_str)).as_bytes(),
-            )?;
+        summary.peak_resident = summary.peak_resident.max(len);
+        summary.cells += len;
+        for chunk in &encoded {
+            summary.errors += chunk.errors;
+            summary.disk_hits += chunk.disk_hits;
+            out.write_all(chunk.rows.as_bytes())?;
         }
         start = end;
     }

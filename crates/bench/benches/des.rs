@@ -1,113 +1,87 @@
-//! Snapshot bench: the calendar event queue vs the binary-heap reference
-//! (`BENCH_des.json`).
+//! Snapshot bench: the DES event queue (`BENCH_des.json`).
 //!
-//! Two synthetic event storms — hold-K pop-push loops over seeded-random
-//! delays with deliberate ties — driven through both queues:
+//! A hold-K event storm — a pop-push loop over seeded-random delays with
+//! deliberate ties — driven through [`EventQueue`] at two held depths:
 //!
-//! * **uniform** — delays on the same scale as the event population (the
-//!   classic hold model): the calendar queue's home turf, and the gated
-//!   headline number;
-//! * **clustered** — delays 1000x smaller than the initial spread, so
-//!   events bunch into few buckets: the calendar queue's known weak
-//!   case, recorded ungated so the trade-off stays visible instead of
-//!   cherry-picked away.
+//! * **11** — the most events the cluster and fault replays ever hold at
+//!   once across a full report (63,319 events scheduled in all);
+//! * **4096** — a deep queue, far past any workload, so a change that
+//!   only hurts at depth still shows.
 //!
-//! Each storm's popped sequence is checksummed and must match exactly
-//! between the two queues (the differential contract from
-//! `crates/sim/tests/properties.rs`, re-asserted here so a perf number
-//! can never be quoted off a divergent queue). `--check` gates the
-//! same-run uniform speedup and the operation counts at ±20%.
+//! Every pop is checked against the queue's ordering law before any
+//! number is reported: time never goes back, and equal times pop in
+//! insertion order. `--check` gates the operation and depth counts at
+//! ±20%; the raw events/s are machine-dependent and recorded only.
 
 use mlperf_bench::snapshot::{self, Snapshot};
 use mlperf_hw::units::Seconds;
-use mlperf_sim::des::{EventQueue, ReferenceEventQueue};
+use mlperf_sim::des::EventQueue;
 use mlperf_testkit::rng::Rng;
 use std::time::Instant;
 
-/// Events resident in the queue throughout the storm.
-const HELD: usize = 4096;
+/// The measured maximum of events held at once by a full report.
+const HELD: usize = 11;
+/// A deep queue, far past any workload.
+const DEEP_HELD: usize = 4096;
 /// Pop-push operations timed per storm.
 const OPS: usize = 1_000_000;
-
-/// Drive one queue through a storm; returns (checksum, seconds).
-/// Identical code for both queues via the macro — same seeds, same
-/// delays, same tie pattern.
-macro_rules! storm {
-    ($queue:expr, $delay_scale:expr) => {{
-        let mut q = $queue;
-        let mut rng = Rng::new(0xde5_ca1e);
-        for i in 0..HELD {
-            q.schedule(Seconds::new(rng.gen_f64()), i as u64);
-        }
-        let mut checksum = 0u64;
-        let start = Instant::now();
-        for i in 0..OPS {
-            let (at, ev) = q.pop().expect("queue never drains");
-            checksum = checksum
-                .wrapping_mul(0x100000001b3)
-                .wrapping_add(at.as_secs().to_bits())
-                .wrapping_add(ev);
-            // Mostly forward progress; every 16th event is a tie with
-            // the current head to exercise FIFO ordering in the hot loop.
-            let delay = if i % 16 == 0 {
-                Seconds::ZERO
-            } else {
-                Seconds::new(rng.gen_f64() * $delay_scale)
-            };
-            q.schedule(at + delay, ev);
-        }
-        (checksum, start.elapsed().as_secs_f64())
-    }};
-}
-
-/// Timing trials per storm. Raw rates are reported from the best
-/// (minimum) trial; the gated speedup is the *median of per-trial
-/// ratios* — the two queues run back-to-back inside each trial, so a
-/// shared machine's drift (well over the ±20% snapshot gate across
-/// seconds) cancels as common mode.
+/// Timing trials per depth; raw rates come from the best (minimum) trial.
 const TRIALS: usize = 5;
 
-/// Run one storm through both queues `TRIALS` times, assert sequence
-/// equality every time; returns (best_reference_secs,
-/// best_calendar_secs, median reference/calendar ratio).
-fn both(delay_scale: f64) -> (f64, f64, f64) {
-    let mut best_ref = f64::INFINITY;
-    let mut best_cal = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(TRIALS);
-    for _ in 0..TRIALS {
-        let (ref_sum, ref_secs) = storm!(ReferenceEventQueue::<u64>::new(), delay_scale);
-        let (cal_sum, cal_secs) = storm!(EventQueue::<u64>::new(), delay_scale);
-        assert_eq!(
-            cal_sum, ref_sum,
-            "calendar queue popped a different sequence than the reference (scale {delay_scale})"
-        );
-        best_ref = best_ref.min(ref_secs);
-        best_cal = best_cal.min(cal_secs);
-        ratios.push(ref_secs / cal_secs);
+/// Drive one queue holding `held` events through a storm, asserting the
+/// ordering law on every pop; returns the elapsed seconds.
+fn storm(held: usize) -> f64 {
+    let mut q = EventQueue::new();
+    let mut rng = Rng::new(0xde5_ca1e);
+    // Payloads are issued in increasing order, so among equal times the
+    // FIFO contract means increasing payloads.
+    let mut next = 0u64;
+    for _ in 0..held {
+        q.schedule(Seconds::new(rng.gen_f64()), next);
+        next += 1;
     }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    (best_ref, best_cal, ratios[TRIALS / 2])
+    let mut last = (Seconds::ZERO, 0u64);
+    let start = Instant::now();
+    for i in 0..OPS {
+        let (at, ev) = q.pop().expect("queue never drains");
+        assert!(
+            at > last.0 || (at == last.0 && ev > last.1) || i == 0,
+            "pop {i} broke the ordering law at depth {held}"
+        );
+        last = (at, ev);
+        // Mostly forward progress; every 16th event is a tie with the
+        // current head to exercise FIFO ordering in the hot loop.
+        let delay = if i % 16 == 0 {
+            Seconds::ZERO
+        } else {
+            Seconds::new(rng.gen_f64())
+        };
+        q.schedule(at + delay, next);
+        next += 1;
+    }
+    start.elapsed().as_secs_f64()
+}
+
+/// Events per second at `held`, from the best of [`TRIALS`] storms.
+fn rate(held: usize) -> f64 {
+    let best = (0..TRIALS)
+        .map(|_| storm(held))
+        .fold(f64::INFINITY, f64::min);
+    OPS as f64 / best
 }
 
 fn measure() -> Snapshot {
-    let (uni_ref, uni_cal, uni_speedup) = both(1.0);
-    let (clu_ref, clu_cal, clu_speedup) = both(1e-3);
-
-    let mut snap = Snapshot::new("bench_des.v1");
+    let mut snap = Snapshot::new("bench_des.v2");
     snap.push("ops", OPS as f64);
     snap.push("held_events", HELD as f64);
-    snap.push("reference_events_per_sec", OPS as f64 / uni_ref);
-    snap.push("calendar_events_per_sec", OPS as f64 / uni_cal);
-    snap.push("speedup", uni_speedup);
-    snap.push("clustered_reference_events_per_sec", OPS as f64 / clu_ref);
-    snap.push("clustered_calendar_events_per_sec", OPS as f64 / clu_cal);
-    snap.push("clustered_speedup", clu_speedup);
+    snap.push("events_per_sec", rate(HELD));
+    snap.push("deep_held_events", DEEP_HELD as f64);
+    snap.push("deep_events_per_sec", rate(DEEP_HELD));
     snap
 }
 
-/// `--check` gates the counts and the same-run uniform speedup; raw
-/// rates (and the clustered weak case) are recorded only.
-const GATED: &[&str] = &["ops", "held_events", "speedup"];
+/// `--check` gates the counts; raw rates are recorded only.
+const GATED: &[&str] = &["ops", "held_events", "deep_held_events"];
 
 fn main() {
     snapshot::run("BENCH_des.json", GATED, measure);

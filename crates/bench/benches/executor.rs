@@ -5,15 +5,20 @@
 //! The headline pair regenerates the complete report twice per sample —
 //! once the way a naive runner would (one worker, every simulation point
 //! recomputed per experiment) and once the way `repro --report` actually
-//! runs (environment worker count, shared memo cache). The ratio is the
+//! runs (`MLPERF_JOBS` worker count, shared memo cache). The ratio is the
 //! acceptance number for the executor work; on a single-core host it is
 //! carried entirely by memoization.
 
 use mlperf_suite::runner::{Ctx, Pool, TrainPoint};
-use mlperf_suite::{report_gen, BenchmarkId};
+use mlperf_suite::{report_gen, BenchmarkId, Config};
 use mlperf_testkit::bench::Runner;
 use mlperf_testkit::{bench_group, bench_main};
 use std::hint::black_box;
+
+/// The pool `repro` would run on: the resolved `MLPERF_JOBS`.
+fn pool() -> Pool {
+    Pool::from_config(&Config::try_from_env().expect("MLPERF_* knobs parse"))
+}
 
 fn bench_full_report(c: &mut Runner) {
     let mut g = c.benchmark_group("executor_report");
@@ -25,7 +30,7 @@ fn bench_full_report(c: &mut Runner) {
         })
     });
     g.bench_function("pooled_memoized", |b| {
-        let pool = Pool::from_env();
+        let pool = pool();
         b.iter(|| {
             let ctx = Ctx::new();
             black_box(report_gen::build_with(&pool, &ctx).expect("report builds"))
@@ -43,7 +48,7 @@ fn bench_memo_hit(c: &mut Runner) {
         b.iter(|| black_box(ctx.step(&point).expect("cached")))
     });
     g.bench_function("pool_run_all_64_trivial", |b| {
-        let pool = Pool::from_env();
+        let pool = pool();
         b.iter(|| {
             let tasks: Vec<_> = (0..64u64).map(|i| move || i * i).collect();
             black_box(pool.run_all(tasks))

@@ -30,9 +30,8 @@
 //! of the chunk before any number is reported.
 //!
 //! The replica still *understates* the old cost in one place it cannot
-//! reach: viable cells simulate on today's calendar event queue, not the
-//! pre-PR binary heap (`BENCH_des.json` prices that gap separately), so
-//! the per-cell speedup reported here is a floor.
+//! reach: viable steps run on today's DES engine, not the engine of the
+//! time, so the per-cell speedup reported here is a floor.
 //!
 //! Wall-clock rates are recorded but not gated; the `--check` gate holds
 //! the same-run speedup ratio, hit rate, and counts to ±20%.

@@ -10,7 +10,7 @@
 //! * `substrate` — micro-benchmarks of the underlying machinery (model
 //!   builders, the engine step, PCA, the schedule search);
 //! * `sweep` / `des` — snapshot benches (see [`snapshot`]) pinning the
-//!   million-cell sweep engine and the calendar event queue to committed
+//!   million-cell sweep engine and the DES event queue to committed
 //!   `BENCH_sweep.json` / `BENCH_des.json` baselines.
 //!
 //! The `repro` binary in `mlperf-suite` prints the regenerated artifacts;

@@ -16,6 +16,7 @@ use mlperf_suite::runner::{Ctx, Pool, ResilienceConfig};
 use mlperf_suite::serve::{self, ServeOptions, Server};
 use mlperf_suite::sweep::{self, DiskCache};
 use mlperf_suite::Config;
+use mlperf_suite::{csv_export, report_gen};
 use std::process::ExitCode;
 
 /// Exit code for a degraded-but-complete run: every requested output was
@@ -57,11 +58,11 @@ fn usage() -> &'static str {
 }
 
 /// `repro serve ...`: bind the Unix socket and answer typed what-if
-/// queries until a `shutdown` query arrives. The environment is resolved
-/// into one typed [`Config`] here, once, at startup — per-request
-/// variation happens through the request API (e.g. `budget`), not by
-/// mutating the daemon's environment.
-fn run_serve(args: &[String], no_cache: bool) -> Result<ExitCode, String> {
+/// queries until a `shutdown` query arrives. The daemon runs under the
+/// [`Config`] `main` resolved once at startup — per-request variation
+/// happens through the request API (e.g. `budget`), not by mutating the
+/// daemon's environment.
+fn run_serve(args: &[String], cfg: &Config) -> Result<ExitCode, String> {
     let mut opts = ServeOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -119,12 +120,8 @@ fn run_serve(args: &[String], no_cache: bool) -> Result<ExitCode, String> {
             other => return Err(format!("unknown serve flag '{other}'; {}", usage())),
         }
     }
-    let mut cfg = Config::from_env();
-    if no_cache {
-        cfg.cache_enabled = false;
-    }
     let server =
-        Server::bind(&opts, &cfg).map_err(|e| format!("binding {}: {e}", opts.socket.display()))?;
+        Server::bind(&opts, cfg).map_err(|e| format!("binding {}: {e}", opts.socket.display()))?;
     eprintln!("serve: listening on {}", opts.socket.display());
     server.run().map_err(|e| format!("serve: {e}"))?;
     Ok(ExitCode::SUCCESS)
@@ -155,7 +152,11 @@ fn run_query(args: &[String]) -> Result<ExitCode, String> {
 /// `repro sweep ...`: run registered sweeps and write one long-form CSV
 /// each (a cell that degrades is a data row with `status=error`, not a
 /// process failure — the grid shape is part of the output contract).
-fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, String> {
+fn run_sweeps(
+    args: &[String],
+    cfg: &Config,
+    cache: Option<&DiskCache>,
+) -> Result<ExitCode, String> {
     let registry = sweep::registry();
     let mut out_dir = String::from("artifacts/sweeps");
     let mut names: Vec<&str> = Vec::new();
@@ -198,7 +199,7 @@ fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, St
     // device. A sweep with its own partition axis overrides the base per
     // cell, so the knob never fights an explicit grid; unset, the specs
     // are untouched and the output bytes are exactly the historical ones.
-    let selected: Vec<sweep::SweepSpec> = match Config::from_env().partition {
+    let selected: Vec<sweep::SweepSpec> = match cfg.partition {
         Some(p) => selected
             .into_iter()
             .map(|s| s.fix(sweep::AxisValue::Partition(Some(p))))
@@ -206,11 +207,13 @@ fn run_sweeps(args: &[String], cache: Option<&DiskCache>) -> Result<ExitCode, St
         None => selected,
     };
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
-    let pool = Pool::from_env();
+    let pool = Pool::from_config(cfg);
     // Memo-free context: sweep cells are pairwise distinct, so the step
     // memo would only grow O(grid) without ever hitting — the disk cache
     // (content-addressed, batched) is the persistence layer here.
-    let ctx = Ctx::without_memo();
+    let ctx = Ctx::without_memo()
+        .with_fastpath(cfg.fastpath)
+        .with_runs(cfg.runs);
     // Rows are streamed to disk one shard at a time, so memory is bounded
     // by the shard regardless of the grid (the million-cell sweep never
     // materializes). Bytes are identical to the in-memory rendering.
@@ -319,24 +322,40 @@ fn report_failures(execution: &mlperf_suite::runner::Execution) {
     }
 }
 
-fn main() -> ExitCode {
-    // Strict knob check up front: a typo'd MLPERF_IO_CHAOS or serve knob
-    // aborts before any output is written, instead of silently running
-    // with a default that would make the configured scenario vacuous.
-    if let Err(e) = Config::try_from_env() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
+/// Exit 0 for a healthy run, [`EXIT_DEGRADED`] when some experiment
+/// failed but every output was still written.
+fn exit_status(execution: &mlperf_suite::runner::Execution) -> ExitCode {
+    if execution.degraded() {
+        ExitCode::from(EXIT_DEGRADED)
+    } else {
+        ExitCode::SUCCESS
     }
+}
+
+fn main() -> ExitCode {
+    // Every knob is resolved here, once, and strictly: a typo'd
+    // MLPERF_IO_CHAOS or serve knob aborts before any output is written,
+    // instead of silently running with a default that would make the
+    // configured scenario vacuous.
+    let mut cfg = match Config::try_from_env() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--no-cache` is positionless and composes with every mode; it (or
     // MLPERF_CACHE=off, or active chaos injection) disables the
     // persistent result cache for this invocation.
-    let no_cache = args.iter().any(|a| a == "--no-cache");
+    if args.iter().any(|a| a == "--no-cache") {
+        cfg.cache_enabled = false;
+    }
     args.retain(|a| a != "--no-cache");
-    let cache = if no_cache { None } else { DiskCache::from_env() };
+    let cache = DiskCache::from_config(&cfg);
     // One memoized context per invocation: tables and figures share their
     // overlapping simulation points instead of re-pricing them.
-    let ctx = Ctx::new();
+    let ctx = Ctx::from_config(&cfg);
     let result: Result<ExitCode, String> = match args.as_slice() {
         [] => {
             let mut out = String::new();
@@ -365,8 +384,8 @@ fn main() -> ExitCode {
             println!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
-        [cmd, rest @ ..] if cmd == "sweep" => run_sweeps(rest, cache.as_ref()),
-        [cmd, rest @ ..] if cmd == "serve" => run_serve(rest, no_cache),
+        [cmd, rest @ ..] if cmd == "sweep" => run_sweeps(rest, &cfg, cache.as_ref()),
+        [cmd, rest @ ..] if cmd == "serve" => run_serve(rest, &cfg),
         [cmd, rest @ ..] if cmd == "query" => run_query(rest),
         [flag, n] if flag == "--table" => n
             .parse::<u32>()
@@ -380,89 +399,61 @@ fn main() -> ExitCode {
             print!("{s}");
             ExitCode::SUCCESS
         }),
+        // Both document modes share one failure policy. Strict mode fails
+        // fast: it bypasses the cache, and the first root-cause failure
+        // aborts the run before anything is written (chaos injection and
+        // step budgets still apply, so the gate itself is testable).
+        // Otherwise failed experiments degrade to placeholder output and
+        // the run exits 2; a warm persistent cache answers from disk.
         [flag, file] if flag == "--report" => {
-            let cfg = ResilienceConfig::from_env();
-            if cfg.strict {
-                // Fail-fast for CI: the first root-cause failure aborts
-                // the run before anything is written. The strict config
-                // still honors chaos injection and step budgets, so the
-                // gate itself is testable.
-                let (md, execution) =
-                    mlperf_suite::report_gen::build_resilient(&Pool::from_env(), &ctx, &cfg);
-                match execution.root_cause() {
-                    Some(f) => Err(f.error.to_string()),
-                    None => {
-                        eprint!("{}", execution.stats.summary());
-                        std::fs::write(file, md)
-                            .map(|()| {
-                                println!("wrote {file}");
-                                ExitCode::SUCCESS
-                            })
-                            .map_err(|e| e.to_string())
-                    }
-                }
+            let resilience = ResilienceConfig::from_config(&cfg);
+            let cache = if resilience.strict {
+                None
             } else {
-                // Degraded-but-complete: failed experiments become
-                // placeholder sections + a failure appendix; exit 2 tells
-                // callers the document is incomplete. A warm persistent
-                // cache answers every section from disk.
-                let (md, execution) = mlperf_suite::report_gen::build_cached(
-                    &Pool::from_env(),
-                    &ctx,
-                    &cfg,
-                    cache.as_ref(),
-                );
-                eprint!("{}", execution.stats.summary());
-                if let Some(c) = &cache {
-                    eprint!("{}", c.summary());
+                cache.as_ref()
+            };
+            let (md, execution) =
+                report_gen::build_cached(&Pool::from_config(&cfg), &ctx, &resilience, cache);
+            match execution.root_cause() {
+                Some(f) if resilience.strict => Err(f.error.to_string()),
+                _ => {
+                    eprint!("{}", execution.stats.summary());
+                    if let Some(c) = cache {
+                        eprint!("{}", c.summary());
+                    }
+                    report_failures(&execution);
+                    std::fs::write(file, md)
+                        .map(|()| {
+                            println!("wrote {file}");
+                            exit_status(&execution)
+                        })
+                        .map_err(|e| e.to_string())
                 }
-                report_failures(&execution);
-                std::fs::write(file, md)
-                    .map(|()| {
-                        println!("wrote {file}");
-                        if execution.degraded() {
-                            ExitCode::from(EXIT_DEGRADED)
-                        } else {
-                            ExitCode::SUCCESS
-                        }
-                    })
-                    .map_err(|e| e.to_string())
             }
         }
         [flag, dir] if flag == "--csv" => {
-            let cfg = ResilienceConfig::from_env();
-            if cfg.strict {
-                match mlperf_suite::csv_export::write_all_strict(std::path::Path::new(dir), &cfg) {
-                    Ok(written) => {
-                        for path in written {
-                            println!("wrote {path}");
-                        }
-                        Ok(ExitCode::SUCCESS)
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
+            let resilience = ResilienceConfig::from_config(&cfg);
+            let cache = if resilience.strict {
+                None
             } else {
-                match mlperf_suite::csv_export::write_all_cached(
-                    std::path::Path::new(dir),
-                    &cfg,
-                    cache.as_ref(),
-                ) {
-                    Ok((written, execution)) => {
+                cache.as_ref()
+            };
+            let (exports, execution) =
+                csv_export::build_all_cached(&Pool::from_config(&cfg), &ctx, &resilience, cache);
+            match execution.root_cause() {
+                Some(f) if resilience.strict => Err(format!("experiment failed: {}", f.error)),
+                _ => csv_export::write(std::path::Path::new(dir), &exports)
+                    .map(|written| {
                         for path in written {
                             println!("wrote {path}");
                         }
-                        if let Some(c) = &cache {
+                        if let Some(c) = cache {
                             eprint!("{}", c.summary());
                         }
                         report_failures(&execution);
-                        Ok(if execution.degraded() {
-                            ExitCode::from(EXIT_DEGRADED)
-                        } else {
-                            ExitCode::SUCCESS
-                        })
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
+                        exit_status(&execution)
+                    })
+                    .map_err(|e| e.to_string()),
             }
         }
         // `--figure fault` names the extension study; numbers name the

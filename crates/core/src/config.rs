@@ -1,24 +1,19 @@
 //! One typed view of every `MLPERF_*` environment knob.
 //!
-//! Until this module, each subsystem read its own knobs straight from the
-//! environment at whatever moment it was constructed — the pool read
-//! `MLPERF_JOBS`, the context read `MLPERF_FASTPATH`, the persistent
-//! cache read `MLPERF_CACHE`/`MLPERF_CACHE_DIR` (and peeked at
-//! `MLPERF_CHAOS`), and the resilience layer read the rest. That worked
-//! for a batch CLI where everything is constructed once, but a long-lived
-//! `repro serve` daemon needs *one* configuration resolved at startup and
-//! then explicit per-request overrides — never a mid-flight env read that
-//! could split the server's view of its own knobs.
+//! [`Config::try_from_env`] resolves every knob exactly once. The `repro`
+//! CLI calls it first thing and hands the resulting [`Config`] to every
+//! component it builds ([`Pool::from_config`](crate::runner::Pool::from_config),
+//! [`Ctx::from_config`](crate::runner::Ctx::from_config),
+//! [`DiskCache::from_config`](crate::sweep::DiskCache::from_config),
+//! [`ResilienceConfig::from_config`](crate::runner::ResilienceConfig::from_config),
+//! [`Server::bind`](crate::serve::Server::bind)); no component reads the
+//! environment on its own, so a long-lived `repro serve` daemon never
+//! splits its view of its own knobs mid-flight. [`Config::default`] is
+//! the all-unset resolution and never reads the environment.
 //!
-//! [`Config::from_env`] resolves every knob exactly once; the legacy
-//! `from_env` constructors ([`Pool::from_env`](crate::runner::Pool),
-//! [`Ctx::new`](crate::runner::Ctx),
-//! [`DiskCache::from_env`](crate::sweep::DiskCache),
-//! [`ResilienceConfig::from_env`](crate::runner::ResilienceConfig)) all
-//! delegate here, so there is a single parsing truth. Parsing is pure
-//! ([`Config::resolve`] takes the lookup as a closure), which is what the
-//! unit tests drive — tests must not mutate the process environment,
-//! because the suite runs multi-threaded.
+//! Parsing is pure ([`Config::try_resolve`] takes the lookup as a
+//! closure), which is what the unit tests drive — tests must not mutate
+//! the process environment, because the suite runs multi-threaded.
 
 use crate::runner::{
     ChaosSpec, CHAOS_ATTEMPTS_ENV, CHAOS_ENV, FASTPATH_ENV, JOBS_ENV, PARTITION_ENV,
@@ -35,10 +30,7 @@ use mlperf_testkit::iochaos::{IoChaosParseError, IoChaosSpec};
 use std::fmt;
 use std::path::PathBuf;
 
-/// Why a knob was rejected by the strict resolver
-/// ([`Config::try_resolve`]). The lenient [`Config::resolve`] logs the
-/// same error to stderr and falls back to the knob's default; the `repro`
-/// CLI and the serve daemon go through the strict path, so a typo'd knob
+/// Why a knob was rejected by [`Config::try_resolve`]. A typo'd knob
 /// fails fast instead of silently running with a default — a mistyped
 /// `MLPERF_IO_CHAOS` that injected nothing would make a durability gate
 /// vacuously green.
@@ -135,8 +127,7 @@ pub struct Config {
 }
 
 /// Strictly parse one unsigned knob: absent or blank means the default,
-/// anything else must parse or the typed error is recorded (and the
-/// default used, for the lenient path).
+/// anything else must parse or the typed error is recorded.
 fn strict_unsigned(
     raw: Option<String>,
     name: &'static str,
@@ -162,14 +153,8 @@ fn strict_unsigned(
 }
 
 impl Config {
-    /// Resolve every knob from the process environment, once.
-    pub fn from_env() -> Config {
-        Config::resolve(|name| std::env::var(name).ok())
-    }
-
-    /// Strict [`Config::from_env`]: the first malformed knob is a typed
-    /// error instead of a logged fallback. The `repro` CLI calls this
-    /// before doing anything else.
+    /// Resolve every knob from the process environment, once. The
+    /// `repro` CLI calls this before doing anything else.
     ///
     /// # Errors
     ///
@@ -178,35 +163,23 @@ impl Config {
         Config::try_resolve(|name| std::env::var(name).ok())
     }
 
-    /// Strict [`Config::resolve`]: the first malformed strictly-parsed
-    /// knob (`MLPERF_IO_CHAOS`, the serve deadline/frame knobs) is
-    /// returned as a typed error. The legacy knobs keep their documented
-    /// lenient fallbacks either way.
+    /// Resolve every knob through `get` (the pure core of
+    /// [`Config::try_from_env`]; tests inject a map instead of mutating
+    /// the process environment). The first malformed strictly-parsed knob
+    /// (`MLPERF_PARTITION`, `MLPERF_IO_CHAOS`, the serve deadline/frame
+    /// knobs) is returned as a typed error; the legacy knobs
+    /// (`MLPERF_JOBS`, `MLPERF_RUNS`, `MLPERF_RETRIES`, …) keep their
+    /// documented fallbacks to the default.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] among the strictly parsed knobs.
-    pub fn try_resolve(
-        get: impl Fn(&str) -> Option<String>,
-    ) -> Result<Config, ConfigError> {
+    pub fn try_resolve(get: impl Fn(&str) -> Option<String>) -> Result<Config, ConfigError> {
         let (config, mut errors) = Config::resolve_inner(get);
         match errors.is_empty() {
             true => Ok(config),
             false => Err(errors.remove(0)),
         }
-    }
-
-    /// Resolve every knob through `get` (the pure core of
-    /// [`Config::from_env`]; tests inject a map instead of mutating the
-    /// process environment). Malformed strictly-parsed knobs are logged
-    /// to stderr and defaulted; use [`Config::try_resolve`] to get them
-    /// as typed errors instead.
-    pub fn resolve(get: impl Fn(&str) -> Option<String>) -> Config {
-        let (config, errors) = Config::resolve_inner(get);
-        for e in errors {
-            eprintln!("config: {e} (using the default)");
-        }
-        config
     }
 
     fn resolve_inner(get: impl Fn(&str) -> Option<String>) -> (Config, Vec<ConfigError>) {
@@ -311,7 +284,7 @@ impl Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Config::resolve(|_| None)
+        Config::try_resolve(|_| None).expect("unset knobs resolve to their defaults")
     }
 }
 
@@ -320,11 +293,15 @@ mod tests {
     use super::*;
 
     fn with(pairs: &[(&str, &str)]) -> Config {
+        try_with(pairs).expect("knobs resolve")
+    }
+
+    fn try_with(pairs: &[(&str, &str)]) -> Result<Config, ConfigError> {
         let pairs: Vec<(String, String)> = pairs
             .iter()
             .map(|&(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        Config::resolve(move |name| {
+        Config::try_resolve(move |name| {
             pairs
                 .iter()
                 .find(|(k, _)| k == name)
@@ -412,19 +389,6 @@ mod tests {
         assert_eq!(cfg.retries, None);
     }
 
-    fn try_with(pairs: &[(&str, &str)]) -> Result<Config, ConfigError> {
-        let pairs: Vec<(String, String)> = pairs
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        Config::try_resolve(move |name| {
-            pairs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
-        })
-    }
-
     #[test]
     fn strict_knobs_reject_garbage_with_typed_errors() {
         // Unknown io-chaos key.
@@ -470,20 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_resolve_defaults_what_strict_rejects() {
-        // The lenient path (legacy constructors) logs and falls back, so
-        // a bad knob can never abort a batch run mid-flight …
-        let cfg = with(&[
-            (IO_CHAOS_ENV, "bit_flip=lots"),
-            (SERVE_MAX_FRAME_ENV, "huge"),
-        ]);
-        assert!(cfg.io_chaos.is_none());
-        assert_eq!(cfg.serve_max_frame, DEFAULT_MAX_FRAME);
-        // … while the strict path rejects the same environment.
-        assert!(try_with(&[(IO_CHAOS_ENV, "bit_flip=lots")]).is_err());
-    }
-
-    #[test]
     fn io_chaos_keeps_the_cache_enabled() {
         let cfg = with(&[(IO_CHAOS_ENV, "seed=1,torn_rename=0.5")]);
         assert!(
@@ -509,15 +459,13 @@ mod tests {
                 .as_deref(),
             Some("1of2")
         );
-        // Garbage is a typed error under strict resolution (the CLI path)
-        // and a logged fallback under the lenient one.
+        // Garbage is a typed error.
         for bad in ["1of3", "2of4", "1of4x9", "half"] {
             let err = try_with(&[(PARTITION_ENV, bad)]).unwrap_err();
             assert!(
                 matches!(&err, ConfigError::BadKnob { name, .. } if *name == PARTITION_ENV),
                 "{bad}: {err}"
             );
-            assert!(with(&[(PARTITION_ENV, bad)]).partition.is_none());
         }
     }
 

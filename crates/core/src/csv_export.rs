@@ -87,13 +87,9 @@ impl<'a> IntoIterator for &'a ArtifactSet {
     }
 }
 
-/// Why an export run failed: either an experiment (typed through the
-/// executor's taxonomy), or writing the results to disk.
+/// Why writing an export set failed.
 #[derive(Debug)]
 pub enum ExportError {
-    /// An experiment failed (strict mode only; resilient exports emit
-    /// placeholders instead).
-    Run(ExperimentError),
     /// A file or directory could not be written.
     Io {
         /// The path involved.
@@ -106,7 +102,6 @@ pub enum ExportError {
 impl fmt::Display for ExportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExportError::Run(e) => write!(f, "experiment failed: {e}"),
             ExportError::Io { path, source } => write!(f, "writing {path}: {source}"),
         }
     }
@@ -115,15 +110,8 @@ impl fmt::Display for ExportError {
 impl std::error::Error for ExportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ExportError::Run(e) => Some(e),
             ExportError::Io { source, .. } => Some(source),
         }
-    }
-}
-
-impl From<ExperimentError> for ExportError {
-    fn from(e: ExperimentError) -> Self {
-        ExportError::Run(e)
     }
 }
 
@@ -171,20 +159,25 @@ pub fn file_spec(file: &str, owner: &dyn runner::Experiment) -> Vec<u8> {
     s
 }
 
-/// [`build_all_resilient`] through the persistent result cache: with every
-/// file on disk nothing re-runs; with some files evicted only their owning
-/// experiments re-run (healthy re-runs re-store their files); with
-/// `cache == None` this is plain [`build_all_resilient`].
+/// Build every export with failure isolation, through the persistent
+/// result cache when one is given. A failed experiment's files are
+/// emitted as placeholder CSVs (headers plus a `# degraded:` comment
+/// naming the failure) while every healthy file's bytes stay identical to
+/// a fully-healthy run. With every file on disk nothing re-runs; with
+/// some files evicted only their owning experiments re-run (healthy
+/// re-runs re-store their files); with `cache == None` every export
+/// experiment runs.
 pub fn build_all_cached(
     pool: &Pool,
     ctx: &Ctx,
     cfg: &ResilienceConfig,
     cache: Option<&DiskCache>,
 ) -> (ArtifactSet, runner::Execution) {
-    let Some(cache) = cache else {
-        return build_all_resilient(pool, ctx, cfg);
-    };
     let experiments = export_experiments();
+    let Some(cache) = cache else {
+        let execution = runner::execute_resilient(pool, ctx, &experiments, cfg);
+        return (assemble(ctx, &execution), execution);
+    };
     let owner = |id: &str| -> &'static dyn runner::Experiment {
         *experiments
             .iter()
@@ -266,17 +259,6 @@ pub fn build_all_cached(
     (fresh, execution)
 }
 
-/// Build every export, with pool and worker count from the environment.
-/// Strict (fail-fast).
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] from the underlying
-/// experiments.
-pub fn build_all() -> Result<ArtifactSet, ExperimentError> {
-    build_all_with(&Pool::from_env(), &Ctx::new())
-}
-
 /// Build every export on an explicit pool and context. The bytes depend
 /// only on the simulated numbers, never on the schedule — the golden-file
 /// tests pin them against `artifacts/`. Strict (fail-fast).
@@ -288,19 +270,6 @@ pub fn build_all() -> Result<ArtifactSet, ExperimentError> {
 pub fn build_all_with(pool: &Pool, ctx: &Ctx) -> Result<ArtifactSet, ExperimentError> {
     let execution = runner::execute(pool, ctx, &export_experiments())?;
     Ok(assemble(ctx, &execution))
-}
-
-/// Build every export with failure isolation: a failed experiment's files
-/// are emitted as placeholder CSVs (headers plus a `# degraded:` comment
-/// naming the failure) while every healthy file's bytes stay identical to
-/// a fully-healthy run.
-pub fn build_all_resilient(
-    pool: &Pool,
-    ctx: &Ctx,
-    cfg: &ResilienceConfig,
-) -> (ArtifactSet, runner::Execution) {
-    let execution = runner::execute_resilient(pool, ctx, &export_experiments(), cfg);
-    (assemble(ctx, &execution), execution)
 }
 
 /// A placeholder export for a failed experiment: the real header row plus
@@ -621,70 +590,14 @@ fn assemble(ctx: &Ctx, execution: &runner::Execution) -> ArtifactSet {
     out
 }
 
-/// Write every export into a directory (created if absent), returning the
-/// paths written. Strict (fail-fast).
+/// Write an export set into a directory (created if absent), returning
+/// the paths written. Callers that must not write a degraded set check
+/// [`runner::Execution::root_cause`] first.
 ///
 /// # Errors
 ///
-/// [`ExportError::Run`] if an experiment fails, [`ExportError::Io`] if the
-/// directory or a file cannot be written.
-pub fn write_all(dir: &Path) -> Result<Vec<String>, ExportError> {
-    let exports = build_all()?;
-    write_set(dir, &exports)
-}
-
-/// Write every export fail-fast under an explicit [`ResilienceConfig`]
-/// (honoring its chaos injection and step budget, unlike [`write_all`]):
-/// any experiment failure aborts with the root cause before a single
-/// file is written.
-///
-/// # Errors
-///
-/// [`ExportError::Run`] with the root-cause failure, [`ExportError::Io`]
-/// if the directory or a file cannot be written.
-pub fn write_all_strict(dir: &Path, cfg: &ResilienceConfig) -> Result<Vec<String>, ExportError> {
-    let (exports, execution) = build_all_resilient(&Pool::from_env(), &Ctx::new(), cfg);
-    if let Some(f) = execution.root_cause() {
-        return Err(ExportError::Run(f.error.clone()));
-    }
-    write_set(dir, &exports)
-}
-
-/// Write every export with failure isolation: placeholder files for the
-/// failed experiments, byte-identical healthy files otherwise. Returns
-/// the paths written plus the execution (whose
-/// [`degraded`](runner::Execution::degraded) flag drives the exit code).
-///
-/// # Errors
-///
-/// Only [`ExportError::Io`] — experiment failures degrade instead.
-pub fn write_all_resilient(
-    dir: &Path,
-    cfg: &ResilienceConfig,
-) -> Result<(Vec<String>, runner::Execution), ExportError> {
-    let (exports, execution) = build_all_resilient(&Pool::from_env(), &Ctx::new(), cfg);
-    let written = write_set(dir, &exports)?;
-    Ok((written, execution))
-}
-
-/// Write every export through the persistent result cache (see
-/// [`build_all_cached`]); with `cache == None` this is
-/// [`write_all_resilient`].
-///
-/// # Errors
-///
-/// Only [`ExportError::Io`] — experiment failures degrade instead.
-pub fn write_all_cached(
-    dir: &Path,
-    cfg: &ResilienceConfig,
-    cache: Option<&DiskCache>,
-) -> Result<(Vec<String>, runner::Execution), ExportError> {
-    let (exports, execution) = build_all_cached(&Pool::from_env(), &Ctx::new(), cfg, cache);
-    let written = write_set(dir, &exports)?;
-    Ok((written, execution))
-}
-
-fn write_set(dir: &Path, exports: &ArtifactSet) -> Result<Vec<String>, ExportError> {
+/// [`ExportError::Io`] if the directory or a file cannot be written.
+pub fn write(dir: &Path, exports: &ArtifactSet) -> Result<Vec<String>, ExportError> {
     let mut written = Vec::new();
     std::fs::create_dir_all(dir).map_err(|source| ExportError::Io {
         path: dir.display().to_string(),
@@ -707,7 +620,7 @@ mod tests {
 
     #[test]
     fn exports_cover_the_artifacts() {
-        let all = build_all().unwrap();
+        let all = build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
         for (name, _) in EXPORT_FILES {
             let export = all.get(name).unwrap_or_else(|| panic!("{name} missing"));
             assert!(
@@ -720,7 +633,7 @@ mod tests {
 
     #[test]
     fn exports_are_tagged_with_their_experiment() {
-        let all = build_all().unwrap();
+        let all = build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
         assert_eq!(all.for_experiment("figure1").count(), 2);
         assert_eq!(all.for_experiment("table4").count(), 1);
         assert_eq!(
@@ -731,7 +644,7 @@ mod tests {
 
     #[test]
     fn csv_rows_parse_back_numerically() {
-        let all = build_all().unwrap();
+        let all = build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
         let t4 = &all.get("table4_scaling.csv").expect("present").contents;
         for line in t4.lines().skip(1) {
             let cols: Vec<&str> = line.split(',').collect();
@@ -744,10 +657,14 @@ mod tests {
     }
 
     #[test]
-    fn write_all_creates_files() {
+    fn write_creates_files() {
         let dir = std::env::temp_dir().join("mlperf_csv_export_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let written = write_all(&dir).unwrap();
+        let written = write(
+            &dir,
+            &build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap(),
+        )
+        .unwrap();
         assert_eq!(written.len(), EXPORT_FILES.len());
         for path in &written {
             assert!(std::path::Path::new(path).exists());

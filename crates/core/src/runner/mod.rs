@@ -289,12 +289,14 @@ impl Drop for BudgetSuspension<'_> {
 }
 
 impl Ctx {
-    /// A fresh memoizing context. The analytic fast path is on unless
-    /// [`FASTPATH_ENV`] says otherwise (the knob is resolved through
-    /// [`Config::from_env`](crate::config::Config::from_env), the single
-    /// parsing truth for every `MLPERF_*` variable).
+    /// A fresh memoizing context under the default [`Config`]: fast path
+    /// on, point pricing. It never reads the environment; a caller that
+    /// honours the `MLPERF_*` knobs resolves them once and uses
+    /// [`Ctx::from_config`].
+    ///
+    /// [`Config`]: crate::config::Config
     pub fn new() -> Ctx {
-        Ctx::from_config(&crate::config::Config::from_env())
+        Ctx::from_config(&crate::config::Config::default())
     }
 
     /// A fresh memoizing context under an explicitly resolved [`Config`]
@@ -322,9 +324,12 @@ impl Ctx {
         }
     }
 
-    /// A context that never memoizes — every request is recomputed. This
-    /// exists for the executor bench's baseline (the legacy serial
-    /// behaviour) and for A/B-testing the cache itself.
+    /// A context that never memoizes — every request is recomputed — under
+    /// the default [`Config`](crate::config::Config), like [`Ctx::new`].
+    /// Sweeps use it (their cells are pairwise distinct, so a memo would
+    /// never hit), chaining [`Ctx::with_fastpath`] and [`Ctx::with_runs`]
+    /// to honour the resolved knobs; the executor bench uses it as the
+    /// unmemoized baseline.
     pub fn without_memo() -> Ctx {
         Ctx {
             memoize: false,
@@ -332,8 +337,8 @@ impl Ctx {
         }
     }
 
-    /// Force the analytic fast path on or off, overriding
-    /// [`FASTPATH_ENV`]. The contract either way: identical output bytes
+    /// Force the analytic fast path on or off (the [`FASTPATH_ENV`]
+    /// resolution, or an explicit override). The contract either way: identical output bytes
     /// (the fast path is exact and the differential batteries pin it);
     /// only the throughput changes.
     #[must_use]
@@ -342,10 +347,9 @@ impl Ctx {
         self
     }
 
-    /// Override the per-cell replication count, normally resolved from
-    /// [`RUNS_ENV`] through the one-shot `Config` (what tests and the
-    /// variance experiment use to pin a run count independent of the
-    /// environment).
+    /// Set the per-cell replication count: the [`RUNS_ENV`] resolution,
+    /// or a pinned count (what tests and the variance experiment use to
+    /// stay independent of the knob).
     ///
     /// # Panics
     ///
@@ -1205,16 +1209,10 @@ impl ResilienceConfig {
         }
     }
 
-    /// Read the knobs from the environment: [`STRICT_ENV`],
-    /// [`RETRIES_ENV`], [`STEP_BUDGET_ENV`], [`CHAOS_ENV`] and
-    /// [`CHAOS_ATTEMPTS_ENV`] — all resolved through the typed
-    /// [`Config`](crate::config::Config). Strict mode forces zero retries.
-    pub fn from_env() -> Self {
-        ResilienceConfig::from_config(&crate::config::Config::from_env())
-    }
-
-    /// The failure policy an explicitly resolved
-    /// [`Config`](crate::config::Config) dictates.
+    /// The failure policy a resolved [`Config`](crate::config::Config)
+    /// dictates ([`STRICT_ENV`], [`RETRIES_ENV`], [`STEP_BUDGET_ENV`],
+    /// [`CHAOS_ENV`] and [`CHAOS_ATTEMPTS_ENV`]). Strict mode forces zero
+    /// retries.
     pub fn from_config(config: &crate::config::Config) -> Self {
         let mut cfg = if config.strict {
             ResilienceConfig::strict()

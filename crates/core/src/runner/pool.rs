@@ -78,15 +78,9 @@ impl Pool {
         }
     }
 
-    /// Worker count from [`JOBS_ENV`] when set to a positive integer,
-    /// otherwise [`std::thread::available_parallelism`] — resolved through
-    /// the typed [`Config`](crate::config::Config).
-    pub fn from_env() -> Pool {
-        Pool::from_config(&crate::config::Config::from_env())
-    }
-
-    /// The pool an explicitly resolved [`Config`](crate::config::Config)
-    /// dictates.
+    /// The pool a resolved [`Config`](crate::config::Config) dictates:
+    /// [`JOBS_ENV`] workers when set to a positive integer, otherwise
+    /// [`std::thread::available_parallelism`].
     pub fn from_config(config: &crate::config::Config) -> Pool {
         Pool::with_workers(config.jobs)
     }
@@ -489,9 +483,10 @@ mod tests {
 
     #[test]
     fn env_override_parses_and_falls_back() {
-        // `from_env` itself is covered via `workers()` bounds; direct env
+        // Knob parsing itself is covered by the config tests; direct env
         // manipulation is avoided because tests run concurrently.
-        assert!(Pool::from_env().workers() >= 1);
+        let config = crate::config::Config::default();
+        assert!(Pool::from_config(&config).workers() >= 1);
         assert_eq!(Pool::with_workers(0).workers(), 1);
     }
 }

@@ -330,18 +330,10 @@ impl DiskCache {
         self
     }
 
-    /// Open the cache as the environment dictates: `None` when
-    /// `MLPERF_CACHE=off`/`0`, when a chaos run is configured
-    /// (`MLPERF_CHAOS` — injected failures must never be masked by warm
-    /// entries), or when the directory cannot be opened. Knobs are
-    /// resolved through the typed [`Config`](crate::config::Config).
-    pub fn from_env() -> Option<DiskCache> {
-        DiskCache::from_config(&crate::config::Config::from_env())
-    }
-
-    /// Open the cache an explicitly resolved
-    /// [`Config`](crate::config::Config) dictates (`None` when it says
-    /// the cache is disabled, or when the directory cannot be opened).
+    /// Open the cache a resolved [`Config`](crate::config::Config)
+    /// dictates: `None` when `MLPERF_CACHE=off`/`0`, when a chaos run is
+    /// configured (`MLPERF_CHAOS` — injected failures must never be
+    /// masked by warm entries), or when the directory cannot be opened.
     /// An `MLPERF_IO_CHAOS` spec in the config arms the handle's fault
     /// seam — the cache stays *enabled* under I/O chaos by design.
     pub fn from_config(config: &crate::config::Config) -> Option<DiskCache> {

@@ -8,9 +8,18 @@
 //! with `cargo run -p mlperf-suite --bin repro -- --csv artifacts`
 //! and commit the diff alongside the change that caused it.
 
-use mlperf_suite::csv_export;
+use mlperf_suite::csv_export::{self, ArtifactSet};
+use mlperf_suite::runner::{Ctx, Pool};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+
+/// The worker counts every golden check covers: serial and
+/// oversubscribed, so the bytes are pinned independent of the schedule.
+const WIDTHS: [usize; 2] = [1, 4];
+
+fn build(workers: usize) -> ArtifactSet {
+    csv_export::build_all_with(&Pool::with_workers(workers), &Ctx::new()).expect("export builds")
+}
 
 fn artifacts_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../artifacts")
@@ -18,17 +27,20 @@ fn artifacts_dir() -> PathBuf {
 
 #[test]
 fn regenerated_csvs_match_checked_in_artifacts_byte_for_byte() {
-    let built = csv_export::build_all().expect("export builds");
-    assert!(!built.is_empty());
-    for export in &built {
-        let name = export.file;
-        let path = artifacts_dir().join(name);
-        let on_disk = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("artifacts/{name} unreadable: {e}"));
-        assert_eq!(
-            export.contents, on_disk,
-            "artifacts/{name} drifted from the generator; regenerate and commit if intended"
-        );
+    for workers in WIDTHS {
+        let built = build(workers);
+        assert!(!built.is_empty());
+        for export in &built {
+            let name = export.file;
+            let path = artifacts_dir().join(name);
+            let on_disk = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("artifacts/{name} unreadable: {e}"));
+            assert_eq!(
+                export.contents, on_disk,
+                "artifacts/{name} drifted from the generator at {workers} workers; \
+                 regenerate and commit if intended"
+            );
+        }
     }
 }
 
@@ -36,15 +48,14 @@ fn regenerated_csvs_match_checked_in_artifacts_byte_for_byte() {
 fn every_artifact_on_disk_is_still_generated() {
     // Coverage in the other direction: no orphaned CSVs lingering after a
     // rename, and no generated table missing from the repo.
-    let built: BTreeSet<String> = csv_export::build_all()
-        .expect("export builds")
-        .files()
-        .map(str::to_string)
-        .collect();
+    let built: BTreeSet<String> = build(1).files().map(str::to_string).collect();
     let on_disk: BTreeSet<String> = std::fs::read_dir(artifacts_dir())
         .expect("artifacts/ exists")
         .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
         .filter(|n| n.ends_with(".csv"))
         .collect();
-    assert_eq!(built, on_disk, "artifacts/ and csv_export::build_all() must list the same files");
+    assert_eq!(
+        built, on_disk,
+        "artifacts/ and csv_export::build_all_with() must list the same files"
+    );
 }

@@ -625,7 +625,8 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
         }),
         ..ResilienceConfig::resilient()
     };
-    let (md_a, execution) = report_gen::build_resilient(&Pool::with_workers(2), &Ctx::new(), &cfg);
+    let (md_a, execution) =
+        report_gen::build_cached(&Pool::with_workers(2), &Ctx::new(), &cfg, None);
     assert!(execution.degraded());
     for needle in [
         "## Appendix: failures",
@@ -641,7 +642,7 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
     assert!(md_a.contains("Figure 2"));
     assert!(md_a.contains("Figure 4"));
 
-    let (md_b, _) = report_gen::build_resilient(&Pool::with_workers(4), &Ctx::new(), &cfg);
+    let (md_b, _) = report_gen::build_cached(&Pool::with_workers(4), &Ctx::new(), &cfg, None);
     assert_eq!(
         md_a, md_b,
         "degraded report (failure appendix included) must replay byte-identically"
@@ -660,7 +661,7 @@ fn degraded_csv_export_isolates_the_victims_files() {
         ..ResilienceConfig::resilient()
     };
     let (degraded, execution) =
-        csv_export::build_all_resilient(&Pool::with_workers(2), &Ctx::new(), &cfg);
+        csv_export::build_all_cached(&Pool::with_workers(2), &Ctx::new(), &cfg, None);
     assert!(execution.degraded());
     assert_eq!(
         healthy.len(),

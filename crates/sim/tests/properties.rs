@@ -23,6 +23,27 @@ fn peer(gb: f64) -> PeerPath {
     }
 }
 
+/// The queue's ordering law, checked one pop at a time: time never goes
+/// back, and equal times pop in insertion order (payloads are issued in
+/// increasing order, so a tie must pop a larger payload than the last).
+#[derive(Default)]
+struct OrderLaw {
+    last: Option<(Seconds, u64)>,
+}
+
+impl OrderLaw {
+    fn check(&mut self, (t, payload): (Seconds, u64)) {
+        if let Some((last_t, last_payload)) = self.last {
+            assert!(t >= last_t, "time went back: {t:?} after {last_t:?}");
+            assert!(
+                t > last_t || payload > last_payload,
+                "FIFO violated at {t:?}: {payload} after {last_payload}"
+            );
+        }
+        self.last = Some((t, payload));
+    }
+}
+
 mlperf_testkit::properties! {
     /// All-reduce time is monotone in payload and antitone in bandwidth,
     /// for every algorithm.
@@ -53,23 +74,17 @@ mlperf_testkit::properties! {
     }
 
     /// The event queue is a stable priority queue: events pop in
-    /// non-decreasing time order and same-time events keep insertion order.
+    /// non-decreasing time order and same-time events keep insertion
+    /// order.
     #[test]
     fn event_queue_ordering(times in vec_of(0u32..1000, 1usize..200)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(Seconds::new(t as f64), i);
+            q.schedule(Seconds::new(t as f64), i as u64);
         }
-        let mut last_t = -1.0;
-        let mut last_seq_at_t: i64 = -1;
-        while let Some((t, seq)) = q.pop() {
-            let tv = t.as_secs();
-            prop_assert!(tv >= last_t);
-            if (tv - last_t).abs() < f64::EPSILON {
-                prop_assert!((seq as i64) > last_seq_at_t, "FIFO violated at t={tv}");
-            }
-            last_t = tv;
-            last_seq_at_t = seq as i64;
+        let mut law = OrderLaw::default();
+        while let Some(popped) = q.pop() {
+            law.check(popped);
         }
     }
 
@@ -148,73 +163,66 @@ mlperf_testkit::properties! {
 }
 
 mod queue_differential {
-    //! Differential battery for the calendar queue: every fuzzed schedule
-    //! is driven through [`EventQueue`] and the retained `BinaryHeap`
-    //! oracle [`ReferenceEventQueue`] move-for-move; the pop sequences
-    //! (timestamps, payloads, FIFO tie order) and the `now`/`len`/
-    //! `next_time` observables must never diverge.
+    //! Seeded interleavings of schedules and pops, replayed against the
+    //! queue's ordering law ([`OrderLaw`](super::OrderLaw)).
 
+    use super::OrderLaw;
     use mlperf_hw::units::Seconds;
-    use mlperf_sim::des::{EventQueue, ReferenceEventQueue};
+    use mlperf_sim::des::EventQueue;
     use mlperf_testkit::rng::Rng;
 
-    /// Drive both queues with `ops` seeded operations and assert lockstep
-    /// equality. Times are drawn from a coarse grid so FIFO ties are
-    /// frequent, with occasional far-future spikes to exercise the
-    /// calendar's direct-search path and occasional bursts/droughts to
-    /// exercise both resize directions.
+    /// Drive the queue with `ops` seeded operations, checking every pop
+    /// against the ordering law and the `now`/`len`/`next_time`
+    /// observables after every operation. Times are drawn from a coarse
+    /// grid so FIFO ties are frequent, with occasional far-future spikes
+    /// and bursts/droughts of pending events.
     fn drive(seed: u64, ops: usize) {
         let mut rng = Rng::new(seed);
-        let mut cal = EventQueue::new();
-        let mut oracle = ReferenceEventQueue::new();
+        let mut q = EventQueue::new();
+        let mut law = OrderLaw::default();
+        let mut pending = 0usize;
         let mut next_payload = 0u64;
         for step in 0..ops {
             let roll = rng.gen_range(0..100u32);
-            if roll < 55 || cal.is_empty() {
+            if roll < 55 || q.is_empty() {
                 let dt = match rng.gen_range(0..10u32) {
-                    0 => rng.gen_f64() * 1.0e6,                      // far-future spike
-                    1..=4 => rng.gen_range(0..64u32) as f64 * 0.25,  // tie-rich grid
-                    _ => rng.gen_f64() * 8.0,                        // smooth spread
+                    0 => rng.gen_f64() * 1.0e6,                     // far-future spike
+                    1..=4 => rng.gen_range(0..64u32) as f64 * 0.25, // tie-rich grid
+                    _ => rng.gen_f64() * 8.0,                       // smooth spread
                 };
-                let at = cal.now() + Seconds::new(dt);
-                cal.schedule(at, next_payload);
-                oracle.schedule(at, next_payload);
+                let at = q.now() + Seconds::new(dt);
+                q.schedule(at, next_payload);
                 next_payload += 1;
+                pending += 1;
             } else {
-                let got = cal.pop();
-                let want = oracle.pop();
-                assert_eq!(got, want, "seed {seed:#x} diverged popping at op {step}");
+                let next = q.next_time();
+                let (t, payload) = q.pop().expect("non-empty queue pops");
+                assert_eq!(Some(t), next, "seed {seed:#x} next_time lied at op {step}");
+                assert_eq!(q.now(), t, "seed {seed:#x} clock at op {step}");
+                law.check((t, payload));
+                pending -= 1;
             }
-            assert_eq!(cal.len(), oracle.len(), "seed {seed:#x} len at op {step}");
-            assert_eq!(cal.now(), oracle.now(), "seed {seed:#x} now at op {step}");
-            assert_eq!(
-                cal.next_time(),
-                oracle.next_time(),
-                "seed {seed:#x} next_time at op {step}"
-            );
+            assert_eq!(q.len(), pending, "seed {seed:#x} len at op {step}");
         }
-        while let Some(got) = cal.pop() {
-            assert_eq!(Some(got), oracle.pop(), "seed {seed:#x} diverged draining");
+        while let Some(popped) = q.pop() {
+            law.check(popped);
         }
-        assert!(oracle.is_empty());
     }
 
     mlperf_testkit::properties! {
-        /// Fuzzed schedules: the calendar queue and the heap oracle are
-        /// observationally identical.
+        /// Fuzzed interleavings of schedules and pops keep the queue's
+        /// ordering law and its `now`/`len`/`next_time` observables.
         #[test]
         fn calendar_queue_matches_reference(seed in 0u64..1 << 48) {
             drive(seed, 400);
         }
     }
 
-    /// Named seed replays: schedules that exercised specific calendar
-    /// mechanics during development, pinned so any future regression
-    /// reproduces under a stable name instead of a lost fuzz draw.
+    /// Named seed replays, pinned so a regression reproduces under a
+    /// stable name instead of a lost fuzz draw.
     #[test]
     fn regression_seed_resize_churn() {
-        // Bursty enough to double the bucket array several times and
-        // shrink it back while draining.
+        // Bursty: the pending set grows and drains repeatedly.
         drive(0x5eed_0001, 3_000);
     }
 
@@ -225,24 +233,23 @@ mod queue_differential {
 
     #[test]
     fn regression_seed_far_future_laps() {
-        // Spike-rich draw: repeatedly leaves the dense window, forcing
-        // the lap scan to give up and direct-search.
+        // Spike-rich draw: repeatedly leaves the dense window of times.
         drive(0x5eed_0003, 1_200);
     }
 
     /// The FIFO contract at one instant across interleaved pops: the
-    /// calendar queue must interleave same-time payloads in global
-    /// insertion order even when the schedule alternates with pops.
+    /// queue must interleave same-time payloads in global insertion order
+    /// even when the schedule alternates with pops.
     #[test]
     fn regression_interleaved_ties_pop_in_insertion_order() {
-        let mut cal = EventQueue::new();
+        let mut q = EventQueue::new();
         let t = Seconds::new(9.0);
-        cal.schedule(t, "a");
-        cal.schedule(t, "b");
-        cal.schedule(Seconds::new(1.0), "early");
-        assert_eq!(cal.pop().unwrap().1, "early");
-        cal.schedule(t, "c");
-        let rest: Vec<&str> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        q.schedule(t, "a");
+        q.schedule(t, "b");
+        q.schedule(Seconds::new(1.0), "early");
+        assert_eq!(q.pop().unwrap().1, "early");
+        q.schedule(t, "c");
+        let rest: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(rest, ["a", "b", "c"]);
     }
 }

@@ -244,13 +244,29 @@ echo "== fast-path parity: MLPERF_FASTPATH=off is byte-identical =="
 # The analytic fast path (DESIGN.md "Sweep scaling model") is an
 # optimization, never a semantic: with the switch off, every sweep CSV —
 # including the million-cell CI prefix — must come out byte-identical.
-# Both runs pass --no-cache so each one demonstrably prices its cells.
+# Both runs pass --no-cache so each one demonstrably prices its cells,
+# and the stderr tally proves the switch reached the sweep: the default
+# run prices cells analytically, the MLPERF_FASTPATH=off run never tries.
 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
-    --no-cache sweep --all --out "$report_tmp/sweeps_fast" >/dev/null
+    --no-cache sweep --all --out "$report_tmp/sweeps_fast" >/dev/null 2>"$report_tmp/sweeps_fast.log"
 MLPERF_FASTPATH=off cargo run -q --release --offline -p mlperf-suite --bin repro -- \
-    --no-cache sweep --all --out "$report_tmp/sweeps_slow" >/dev/null
+    --no-cache sweep --all --out "$report_tmp/sweeps_slow" >/dev/null 2>"$report_tmp/sweeps_slow.log"
 diff -ur "$report_tmp/sweeps_fast" "$report_tmp/sweeps_slow" \
     || { echo "sweep CSV bytes depend on MLPERF_FASTPATH" >&2; exit 1; }
+grep -Eq 'fast path: [0-9]+/[0-9]+ cells priced analytically' "$report_tmp/sweeps_fast.log" \
+    || { echo "default sweep run did not use the fast path" >&2; \
+         cat "$report_tmp/sweeps_fast.log" >&2; exit 1; }
+if grep -q 'fast path:' "$report_tmp/sweeps_slow.log"; then
+    echo "MLPERF_FASTPATH=off did not reach the sweep" >&2; exit 1
+fi
+
+echo "== replication knob: MLPERF_RUNS reaches repro sweep =="
+# MLPERF_RUNS>1 appends the epochs-to-target distribution columns to
+# every Training sweep's CSV.
+MLPERF_RUNS=2 cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --no-cache sweep figure4_scaling --out "$report_tmp/runs_knob" >/dev/null
+head -1 "$report_tmp/runs_knob/figure4_scaling.csv" | grep -q ",runs,epochs_median," \
+    || { echo "MLPERF_RUNS=2 did not add the replication columns" >&2; exit 1; }
 
 echo "== partition gate: sliced sweeps replay; knob scoped to sweeps only =="
 # Multi-tenant partitioning (DESIGN.md §2i): the partition_scaling grid
@@ -296,7 +312,8 @@ echo "== bench snapshots: committed BENCH_*.json within tolerance =="
 # The committed perf snapshots (BENCH_sweep.json, BENCH_des.json) gate
 # scale-invariant fields — speedup ratios, hit rate, cell/op counts — at
 # ±20%; raw rates are recorded but machine-dependent, so never gated.
-# Each bench re-asserts engine agreement before reporting any number.
+# Each bench re-asserts its correctness contract (engine agreement, the
+# event queue's ordering law) before reporting any number.
 cargo bench -q --offline -p mlperf-bench --bench sweep -- --check
 cargo bench -q --offline -p mlperf-bench --bench des -- --check
 cargo bench -q --offline -p mlperf-bench --bench serve -- --check

@@ -128,7 +128,7 @@ fn ablate_pcie_lanes(c: &mut Runner) {
 /// Scheduler-policy ablation: naive vs LPT vs exact search makespans.
 fn ablate_scheduler(c: &mut Runner) {
     use mlperf_analysis::scheduling::{lpt_schedule, naive_schedule, optimal_schedule};
-    let jobs = mlperf_suite::experiments::figure4::measure_job_times().expect("measured");
+    let jobs = mlperf_suite::experiments::figure4::measure_job_times_ctx(&mlperf_suite::Ctx::new()).expect("measured");
 
     println!("\n=== ablation: scheduler policy (7 MLPerf jobs) ===");
     for g in [2u64, 4, 8] {

@@ -6,6 +6,7 @@
 use mlperf_testkit::bench::Runner;
 use mlperf_testkit::{bench_group, bench_main};
 use mlperf_suite::experiments as exp;
+use mlperf_suite::Ctx;
 use std::hint::black_box;
 
 fn bench_tables(c: &mut Runner) {
@@ -20,19 +21,19 @@ fn bench_tables(c: &mut Runner) {
     });
     g.bench_function("table4_scaling", |b| {
         b.iter(|| {
-            let t = exp::table4::run().expect("table runs");
+            let t = exp::table4::run_ctx(&Ctx::new()).expect("table runs");
             black_box(exp::table4::render(&t))
         })
     });
     g.bench_function("table5_resources", |b| {
         b.iter(|| {
-            let t = exp::table5::run().expect("table runs");
+            let t = exp::table5::run_ctx(&Ctx::new()).expect("table runs");
             black_box(exp::table5::render(&t))
         })
     });
     g.bench_function("table1_insights", |b| {
         b.iter(|| {
-            let t = exp::table1::run().expect("table runs");
+            let t = exp::table1::run_ctx(&Ctx::new()).expect("table runs");
             black_box(exp::table1::render(&t))
         })
     });

@@ -11,8 +11,7 @@
 //! repro --list           # what's available
 //! ```
 
-use mlperf_suite::experiments as exp;
-use mlperf_suite::runner::{Ctx, Pool, ResilienceConfig};
+use mlperf_suite::runner::{self, Ctx, Pool, ResilienceConfig};
 use mlperf_suite::serve::{self, ServeOptions, Server};
 use mlperf_suite::sweep::{self, DiskCache};
 use mlperf_suite::Config;
@@ -241,72 +240,44 @@ fn run_sweeps(
     Ok(ExitCode::SUCCESS)
 }
 
-fn run_extra(ctx: &Ctx, name: &str) -> Result<String, String> {
-    match name {
-        "cluster" => exp::cluster_study::run_ctx(ctx)
-            .map(|s| exp::cluster_study::render(&s))
-            .map_err(|e| e.to_string()),
-        "fault" => exp::fault_study::run_ctx(ctx)
-            .map(|s| exp::fault_study::render(&s))
-            .map_err(|e| e.to_string()),
-        "sensitivity" => mlperf_suite::sensitivity::run_ctx(ctx)
-            .map(|s| mlperf_suite::sensitivity::render(&s))
-            .map_err(|e| e.to_string()),
-        "storage" => exp::storage_study::run_ctx(ctx)
-            .map(|rows| exp::storage_study::render(&rows))
-            .map_err(|e| e.to_string()),
-        "energy" => exp::energy_cost::run_on_ctx(ctx, mlperf_hw::SystemId::Dss8440, 8)
-            .map(|e| exp::energy_cost::render(&e))
-            .map_err(|e| e.to_string()),
-        "batch" => exp::batch_sweep::run_ctx(ctx, mlperf_suite::BenchmarkId::MlpfRes50Mx)
-            .map(|s| exp::batch_sweep::render(&s))
-            .map_err(|e| e.to_string()),
-        "validate" => mlperf_suite::validation::run_ctx(ctx)
-            .map(|v| mlperf_suite::validation::render(&v))
-            .map_err(|e| e.to_string()),
-        "variance" => exp::variance_decomposition::run_ctx(ctx)
-            .map(|v| exp::variance_decomposition::render(&v))
-            .map_err(|e| e.to_string()),
-        _ => Err(format!("no extra '{name}'; {}", usage())),
-    }
-}
+/// Every experiment `repro` prints on its own: the flag and name that
+/// select it, and the [`runner::all_experiments`] id it runs.
+const NAMED: [(&str, &str, &str); 19] = [
+    ("--table", "1", "table1"),
+    ("--table", "2", "table2"),
+    ("--table", "3", "table3"),
+    ("--table", "4", "table4"),
+    ("--table", "5", "table5"),
+    ("--figure", "1", "figure1"),
+    ("--figure", "2", "figure2"),
+    ("--figure", "3", "figure3"),
+    ("--figure", "4", "figure4"),
+    ("--figure", "5", "figure5"),
+    ("--figure", "fault", "fault_study"),
+    ("--extra", "cluster", "cluster_study"),
+    ("--extra", "fault", "fault_study"),
+    ("--extra", "validate", "validation"),
+    ("--extra", "batch", "batch_sweep"),
+    ("--extra", "energy", "energy_cost"),
+    ("--extra", "storage", "storage_study"),
+    ("--extra", "sensitivity", "sensitivity"),
+    ("--extra", "variance", "variance_decomposition"),
+];
 
-fn run_table(ctx: &Ctx, n: u32) -> Result<String, String> {
-    match n {
-        1 => exp::table1::run_ctx(ctx)
-            .map(|t| exp::table1::render(&t))
-            .map_err(|e| e.to_string()),
-        2 => Ok(exp::table2::render()),
-        3 => Ok(exp::table3::render()),
-        4 => exp::table4::run_ctx(ctx)
-            .map(|t| exp::table4::render(&t))
-            .map_err(|e| e.to_string()),
-        5 => exp::table5::run_ctx(ctx)
-            .map(|t| exp::table5::render(&t))
-            .map_err(|e| e.to_string()),
-        _ => Err(format!("no table {n}; {}", usage())),
-    }
-}
-
-fn run_figure(ctx: &Ctx, n: u32) -> Result<String, String> {
-    match n {
-        1 => exp::figure1::run_ctx(ctx)
-            .map(|f| exp::figure1::render(&f))
-            .map_err(|e| e.to_string()),
-        2 => exp::figure2::run_ctx(ctx)
-            .map(|f| exp::figure2::render(&f))
-            .map_err(|e| e.to_string()),
-        3 => exp::figure3::run_ctx(ctx)
-            .map(|f| exp::figure3::render(&f))
-            .map_err(|e| e.to_string()),
-        4 => exp::figure4::run_ctx(ctx)
-            .map(|f| exp::figure4::render(&f))
-            .map_err(|e| e.to_string()),
-        5 => exp::figure5::run_ctx(ctx)
-            .map(|f| exp::figure5::render(&f))
-            .map_err(|e| e.to_string()),
-        _ => Err(format!("no figure {n}; {}", usage())),
-    }
+/// Run the experiment `flag name` selects and render its section.
+fn run_named(ctx: &Ctx, flag: &str, name: &str) -> Result<String, String> {
+    let kind = flag.trim_start_matches('-');
+    let (_, _, id) = NAMED
+        .iter()
+        .find(|(f, n, _)| *f == flag && *n == name)
+        .ok_or_else(|| format!("no {kind} '{name}'; {}", usage()))?;
+    let e = runner::all_experiments()
+        .into_iter()
+        .find(|e| e.id() == *id)
+        .expect("every named experiment is registered");
+    e.run(ctx)
+        .map(|artifact| e.render(&artifact))
+        .map_err(|err| format!("{kind} {name} failed: {err}"))
 }
 
 /// Report the failed experiments on stderr (degraded-mode diagnostics).
@@ -357,29 +328,16 @@ fn main() -> ExitCode {
     // overlapping simulation points instead of re-pricing them.
     let ctx = Ctx::from_config(&cfg);
     let result: Result<ExitCode, String> = match args.as_slice() {
-        [] => {
-            let mut out = String::new();
-            for n in 1..=5u32 {
-                match run_table(&ctx, n) {
-                    Ok(s) => out.push_str(&format!("{s}\n")),
-                    Err(e) => {
-                        eprintln!("table {n} failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            for n in 1..=5u32 {
-                match run_figure(&ctx, n) {
-                    Ok(s) => out.push_str(&format!("{s}\n")),
-                    Err(e) => {
-                        eprintln!("figure {n} failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            print!("{out}");
-            Ok(ExitCode::SUCCESS)
-        }
+        // Everything: the paper's numbered tables, then its figures.
+        [] => NAMED
+            .iter()
+            .filter(|(_, name, _)| name.parse::<u32>().is_ok())
+            .map(|(flag, name, _)| run_named(&ctx, flag, name).map(|s| s + "\n"))
+            .collect::<Result<String, String>>()
+            .map(|out| {
+                print!("{out}");
+                ExitCode::SUCCESS
+            }),
         [flag] if flag == "--list" => {
             println!("{}", usage());
             Ok(ExitCode::SUCCESS)
@@ -387,18 +345,12 @@ fn main() -> ExitCode {
         [cmd, rest @ ..] if cmd == "sweep" => run_sweeps(rest, &cfg, cache.as_ref()),
         [cmd, rest @ ..] if cmd == "serve" => run_serve(rest, &cfg),
         [cmd, rest @ ..] if cmd == "query" => run_query(rest),
-        [flag, n] if flag == "--table" => n
-            .parse::<u32>()
-            .map_err(|e| e.to_string())
-            .and_then(|n| run_table(&ctx, n))
-            .map(|s| {
+        [flag, name] if NAMED.iter().any(|(f, ..)| f == flag) => {
+            run_named(&ctx, flag, name).map(|s| {
                 print!("{s}");
                 ExitCode::SUCCESS
-            }),
-        [flag, name] if flag == "--extra" => run_extra(&ctx, name).map(|s| {
-            print!("{s}");
-            ExitCode::SUCCESS
-        }),
+            })
+        }
         // Both document modes share one failure policy. Strict mode fails
         // fast: it bypasses the cache, and the first root-cause failure
         // aborts the run before anything is written (chaos injection and
@@ -456,22 +408,6 @@ fn main() -> ExitCode {
                     .map_err(|e| e.to_string()),
             }
         }
-        // `--figure fault` names the extension study; numbers name the
-        // paper's figures.
-        [flag, n] if flag == "--figure" && n == "fault" => {
-            run_extra(&ctx, "fault").map(|s| {
-                print!("{s}");
-                ExitCode::SUCCESS
-            })
-        }
-        [flag, n] if flag == "--figure" => n
-            .parse::<u32>()
-            .map_err(|e| e.to_string())
-            .and_then(|n| run_figure(&ctx, n))
-            .map(|s| {
-                print!("{s}");
-                ExitCode::SUCCESS
-            }),
         _ => Err(usage().to_string()),
     };
     match result {

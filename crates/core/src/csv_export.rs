@@ -10,7 +10,7 @@
 
 use crate::experiments::figure1;
 use crate::report::Table;
-use crate::runner::{self, Ctx, ExperimentError, Pool, ResilienceConfig};
+use crate::runner::{self, Ctx, Pool, ResilienceConfig};
 use crate::sweep::DiskCache;
 use mlperf_telemetry::csv::characteristics_to_csv;
 use std::collections::BTreeMap;
@@ -160,7 +160,11 @@ pub fn file_spec(file: &str, owner: &dyn runner::Experiment) -> Vec<u8> {
 }
 
 /// Build every export with failure isolation, through the persistent
-/// result cache when one is given. A failed experiment's files are
+/// result cache when one is given. The bytes depend only on the simulated
+/// numbers, never on the schedule — the golden-file tests pin them
+/// against `artifacts/`; fail-fast callers pass
+/// [`ResilienceConfig::strict`] and check
+/// [`runner::Execution::root_cause`]. A failed experiment's files are
 /// emitted as placeholder CSVs (headers plus a `# degraded:` comment
 /// naming the failure) while every healthy file's bytes stay identical to
 /// a fully-healthy run. With every file on disk nothing re-runs; with
@@ -257,19 +261,6 @@ pub fn build_all_cached(
         }
     }
     (fresh, execution)
-}
-
-/// Build every export on an explicit pool and context. The bytes depend
-/// only on the simulated numbers, never on the schedule — the golden-file
-/// tests pin them against `artifacts/`. Strict (fail-fast).
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] from the underlying
-/// experiments.
-pub fn build_all_with(pool: &Pool, ctx: &Ctx) -> Result<ArtifactSet, ExperimentError> {
-    let execution = runner::execute(pool, ctx, &export_experiments())?;
-    Ok(assemble(ctx, &execution))
 }
 
 /// A placeholder export for a failed experiment: the real header row plus
@@ -618,9 +609,21 @@ pub fn write(dir: &Path, exports: &ArtifactSet) -> Result<Vec<String>, ExportErr
 mod tests {
     use super::*;
 
+    /// A strict, cache-free build, asserting every experiment succeeded.
+    fn build_strict() -> ArtifactSet {
+        let (all, execution) = build_all_cached(
+            &Pool::with_workers(2),
+            &Ctx::new(),
+            &ResilienceConfig::strict(),
+            None,
+        );
+        assert!(execution.root_cause().is_none(), "every export experiment healthy");
+        all
+    }
+
     #[test]
     fn exports_cover_the_artifacts() {
-        let all = build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
+        let all = build_strict();
         for (name, _) in EXPORT_FILES {
             let export = all.get(name).unwrap_or_else(|| panic!("{name} missing"));
             assert!(
@@ -633,7 +636,7 @@ mod tests {
 
     #[test]
     fn exports_are_tagged_with_their_experiment() {
-        let all = build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
+        let all = build_strict();
         assert_eq!(all.for_experiment("figure1").count(), 2);
         assert_eq!(all.for_experiment("table4").count(), 1);
         assert_eq!(
@@ -644,7 +647,7 @@ mod tests {
 
     #[test]
     fn csv_rows_parse_back_numerically() {
-        let all = build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
+        let all = build_strict();
         let t4 = &all.get("table4_scaling.csv").expect("present").contents;
         for line in t4.lines().skip(1) {
             let cols: Vec<&str> = line.split(',').collect();
@@ -660,11 +663,7 @@ mod tests {
     fn write_creates_files() {
         let dir = std::env::temp_dir().join("mlperf_csv_export_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let written = write(
-            &dir,
-            &build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap(),
-        )
-        .unwrap();
+        let written = write(&dir, &build_strict()).unwrap();
         assert_eq!(written.len(), EXPORT_FILES.len());
         for path in &written {
             assert!(std::path::Path::new(path).exists());

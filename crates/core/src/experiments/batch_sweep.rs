@@ -39,15 +39,6 @@ pub struct BatchSweep {
     pub oom_at: Option<u64>,
 }
 
-/// Sweep `id` on a single GPU of the C4140 (K) from batch 16 upward.
-///
-/// # Errors
-///
-/// Propagates non-OOM [`SimError`]s from the engine.
-pub fn run(id: BenchmarkId) -> Result<BatchSweep, SimError> {
-    run_ctx(&Ctx::new(), id)
-}
-
 /// Sweep `id` through a shared executor context. The grid is the
 /// declarative [`sweep::batch_wall`] sweep; the rendered table still
 /// stops at the first OOM batch, exactly as the hand-rolled loop did.
@@ -141,7 +132,7 @@ mod tests {
 
     #[test]
     fn resnet_sweep_hits_the_memory_wall() {
-        let s = run(BenchmarkId::MlpfRes50Mx).unwrap();
+        let s = run_ctx(&Ctx::new(), BenchmarkId::MlpfRes50Mx).unwrap();
         assert!(s.points.len() >= 3);
         assert!(s.oom_at.is_some(), "ResNet-50 must eventually OOM on 16 GB");
         // Footprint grows monotonically with batch.
@@ -155,7 +146,7 @@ mod tests {
 
     #[test]
     fn epochs_charge_grows_past_reference_batch() {
-        let s = run(BenchmarkId::MlpfRes50Mx).unwrap();
+        let s = run_ctx(&Ctx::new(), BenchmarkId::MlpfRes50Mx).unwrap();
         let last = s.points.last().expect("non-empty");
         let first = s.points.first().expect("non-empty");
         assert!(last.epochs >= first.epochs);
@@ -163,7 +154,7 @@ mod tests {
 
     #[test]
     fn render_reports_the_wall() {
-        let s = run(BenchmarkId::MlpfRes50Mx).unwrap();
+        let s = run_ctx(&Ctx::new(), BenchmarkId::MlpfRes50Mx).unwrap();
         assert!(render(&s).contains("OOM"));
     }
 }

@@ -73,15 +73,6 @@ fn run_policies(make_subs: impl Fn() -> Vec<Submission>) -> Vec<PolicyResult> {
         .collect()
 }
 
-/// Run the cluster-scheduling study.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the job-time measurement.
-pub fn run() -> Result<ClusterStudy, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the cluster-scheduling study through a shared executor context
 /// (the job-time inputs are Figure 4's, so they memoize across the two).
 ///
@@ -184,7 +175,7 @@ mod tests {
 
     #[test]
     fn all_policies_complete_all_jobs() {
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         for r in s.offline.iter().chain(&s.online) {
             assert_eq!(r.trace.completions.len(), 7, "{}", r.policy);
             assert!(r.trace.utilization() > 0.0 && r.trace.utilization() <= 1.0);
@@ -198,7 +189,7 @@ mod tests {
         // results sooner) at a makespan cost — narrow placements leave
         // long single-GPU tails. Exact offline search (Figure 4) beats
         // every online policy on makespan.
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         let naive = by_policy(&s.offline, "naive-widest");
         let area = by_policy(&s.offline, "area-efficient");
         assert!(
@@ -207,7 +198,7 @@ mod tests {
             area.mean_wait(),
             naive.mean_wait()
         );
-        let jobs = figure4::measure_job_times().unwrap();
+        let jobs = figure4::measure_job_times_ctx(&Ctx::new()).unwrap();
         let optimal = mlperf_analysis::scheduling::optimal_schedule(&jobs, GPUS);
         for r in &s.offline {
             assert!(
@@ -221,7 +212,7 @@ mod tests {
     #[test]
     fn online_waiting_is_worst_under_naive() {
         // Exclusive pool use makes later arrivals queue behind everything.
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         let naive = by_policy(&s.online, "naive-widest").mean_wait();
         let fcfs = by_policy(&s.online, "fcfs-widest-fit").mean_wait();
         assert!(
@@ -234,9 +225,9 @@ mod tests {
     fn des_naive_matches_analytic_naive() {
         // Cross-validation: the event-driven cluster under the naive
         // policy reproduces the analytic naive schedule's makespan.
-        let jobs = figure4::measure_job_times().unwrap();
+        let jobs = figure4::measure_job_times_ctx(&Ctx::new()).unwrap();
         let analytic = mlperf_analysis::scheduling::naive_schedule(&jobs, GPUS);
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         let des = by_policy(&s.offline, "naive-widest").makespan.as_minutes();
         assert!(
             (des - analytic.makespan).abs() < 1e-6,
@@ -247,7 +238,7 @@ mod tests {
 
     #[test]
     fn render_covers_both_scenarios() {
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         let text = render(&s);
         assert!(text.contains("offline batch"));
         assert!(text.contains("online (30-min arrivals)"));

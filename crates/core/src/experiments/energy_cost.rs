@@ -67,26 +67,9 @@ fn chassis_watts(system: &SystemSpec, outcome: &TrainingOutcome) -> f64 {
     gpu_power + cpu_power
 }
 
-/// Run the study: the Table IV benchmarks at 8 GPUs on the DSS 8440.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<EnergyCost, SimError> {
-    run_on(SystemId::Dss8440, 8)
-}
-
-/// Run the study on a specific platform and GPU count.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run_on(system_id: SystemId, gpus: u32) -> Result<EnergyCost, SimError> {
-    run_on_ctx(&Ctx::new(), system_id, gpus)
-}
-
-/// Run the study through a shared executor context (the default DSS-8440
-/// 8-GPU points are the same ones Table IV prices).
+/// Run the study on `gpus` GPUs of a platform through a shared executor
+/// context. The report runs it on 8 GPUs of the DSS 8440: the Table IV
+/// benchmarks at the same points Table IV prices.
 ///
 /// # Errors
 ///
@@ -164,7 +147,7 @@ mod tests {
 
     #[test]
     fn costs_scale_with_training_time() {
-        let e = run().unwrap();
+        let e = run_on_ctx(&Ctx::new(), SystemId::Dss8440, 8).unwrap();
         assert_eq!(e.rows.len(), 6);
         for pair in e.rows.windows(1) {
             let r = &pair[0];
@@ -185,7 +168,7 @@ mod tests {
 
     #[test]
     fn energy_roughly_tracks_dollar_cost_ordering() {
-        let e = run().unwrap();
+        let e = run_on_ctx(&Ctx::new(), SystemId::Dss8440, 8).unwrap();
         let mut by_kwh: Vec<&EnergyRow> = e.rows.iter().collect();
         by_kwh.sort_by(|a, b| a.kwh.partial_cmp(&b.kwh).expect("finite"));
         let mut by_usd: Vec<&EnergyRow> = e.rows.iter().collect();
@@ -197,8 +180,8 @@ mod tests {
 
     #[test]
     fn single_gpu_run_is_cheaper_per_hour_but_longer() {
-        let eight = run().unwrap();
-        let one = run_on(SystemId::Dss8440, 1).unwrap();
+        let eight = run_on_ctx(&Ctx::new(), SystemId::Dss8440, 8).unwrap();
+        let one = run_on_ctx(&Ctx::new(), SystemId::Dss8440, 1).unwrap();
         let r8 = &eight.rows[0];
         let r1 = &one.rows[0];
         assert!(r1.hours > r8.hours, "1 GPU takes longer");
@@ -208,7 +191,7 @@ mod tests {
 
     #[test]
     fn render_prints_dollars() {
-        let e = run().unwrap();
+        let e = run_on_ctx(&Ctx::new(), SystemId::Dss8440, 8).unwrap();
         assert!(render(&e).contains('$'));
     }
 }

@@ -121,15 +121,6 @@ fn checkpoint_spec(interval: Seconds) -> CheckpointSpec {
     CheckpointSpec::new(interval, DEVICE)
 }
 
-/// Run the fault study.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the base-run measurement.
-pub fn run() -> Result<FaultStudy, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the fault study through a shared executor context (the base run
 /// and the elastic job times are Figure 4 / Table IV points, so they
 /// memoize across the report).
@@ -370,7 +361,7 @@ mod tests {
     use super::*;
 
     fn study() -> FaultStudy {
-        run().unwrap()
+        run_ctx(&Ctx::new()).unwrap()
     }
 
     #[test]

@@ -56,18 +56,9 @@ impl Figure1 {
 /// Collect the 13 workloads' characteristics on the C4140 (K), each at its
 /// study configuration (quad-GPU for the scalable MLPerf suite and the
 /// all-reduce benchmark, single-GPU for the DAWNBench submissions and the
-/// DeepBench kernel loops — the same shapes Table V measures).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn collect_runs() -> Result<Vec<WorkloadRun>, SimError> {
-    collect_runs_ctx(&Ctx::new())
-}
-
-/// [`collect_runs`] through a shared executor context, so the quad-GPU
-/// C4140 (K) points are computed once across Figure 1, Table V, and the
-/// CSV exports.
+/// DeepBench kernel loops — the same shapes Table V measures). Through a
+/// shared executor context the quad-GPU C4140 (K) points are computed once
+/// across Figure 1, Table V, and the CSV exports.
 ///
 /// # Errors
 ///
@@ -85,15 +76,6 @@ pub fn collect_runs_ctx(ctx: &Ctx) -> Result<Vec<WorkloadRun>, SimError> {
     }
     runs.push(ctx.workload(WorkloadSpec::DeepBench(DeepBenchId::RedCu), system, 4)?);
     Ok(runs)
-}
-
-/// Run the Figure 1 experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure1, SimError> {
-    run_ctx(&Ctx::new())
 }
 
 /// Run the Figure 1 experiment through a shared executor context.
@@ -207,14 +189,14 @@ mod tests {
 
     #[test]
     fn thirteen_workloads_projected() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(f.projections.len(), 13);
     }
 
     #[test]
     fn pc1_to_pc4_cover_most_variance() {
         // Paper: 88%.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let v = f.variance_pc1_to_pc4();
         assert!(v > 0.75, "PC1-4 cover only {:.0}%", v * 100.0);
     }
@@ -222,7 +204,7 @@ mod tests {
     #[test]
     fn mlperf_separates_from_deepbench_on_pc1() {
         // Fig. 1a: "two isolated clusters sitting in two sides".
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let mlperf = f.suite_mean_pc1("MLPerf");
         let deepbench = f.suite_mean_pc1("DeepBench");
         assert!(
@@ -248,7 +230,7 @@ mod tests {
     #[test]
     fn pc1_is_dominated_by_a_memory_footprint() {
         // Paper: "PC1 is dominated by GPU memory footprint".
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let dom = f.dominant_metric(0);
         assert!(
             dom.contains("footprint"),
@@ -259,7 +241,7 @@ mod tests {
     #[test]
     fn no_two_mlperf_benchmarks_coincide() {
         // §IV-A: "there are no two MLPerf benchmarks that are very close".
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let mlperf: Vec<&Vec<f64>> = f
             .projections
             .iter()
@@ -278,7 +260,7 @@ mod tests {
     fn algorithmic_clustering_groups_the_kernel_suite() {
         // The three DeepBench compute kernels must land in one cluster,
         // apart from the heavyweight MLPerf workloads.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let labels = clustered(&f);
         let of = |name: &str| {
             labels
@@ -294,7 +276,7 @@ mod tests {
 
     #[test]
     fn render_reports_variance_and_dominants() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("cumulative variance"));
         assert!(s.contains("Dominant metrics"));

@@ -59,16 +59,6 @@ impl Figure2 {
     }
 }
 
-/// Run the Figure 2 experiment: single-GPU runs on the T640, ERT-style
-/// ceilings for its V100.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure2, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the Figure 2 experiment through a shared executor context.
 ///
 /// # Errors
@@ -170,7 +160,7 @@ mod tests {
 
     #[test]
     fn all_points_are_under_the_roof() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert!(!f.points.is_empty());
         for p in &f.points {
             let frac = f.roofline.roof_fraction(p, Precision::TensorCore);
@@ -184,7 +174,7 @@ mod tests {
         // §IV-B: "all the workloads are memory-bound (have not cross the
         // turn point)". We allow one excursion (SSD's dense 38x38 stage
         // pushes it just past the ridge in our traffic model).
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let compute_bound = f
             .points
             .iter()
@@ -212,7 +202,7 @@ mod tests {
         // DeepBench; DAWNBench reaches comparable-or-higher intensity and
         // the suites order Dawn/MLPerf > DeepBench on throughput
         // ("DeepBench provides low compute rate benchmarks").
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let mlperf_ai = f.suite_median_intensity("MLPerf");
         let deep_ai = f.suite_median_intensity("DeepBench");
         assert!(
@@ -242,13 +232,13 @@ mod tests {
     #[test]
     fn red_cu_has_no_roofline_point() {
         // Zero counted FLOPs -> no Fig. 2 coordinates.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert!(f.points.iter().all(|p| p.name != "Deep_Red_Cu"));
     }
 
     #[test]
     fn ert_sweep_brackets_the_points() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let sweep = f.roofline.sweep(Precision::Single, 0.01, 1000.0, 32);
         let max_attainable = sweep.last().expect("non-empty").1;
         assert_eq!(max_attainable, f.roofline.ceiling(Precision::Single));
@@ -256,7 +246,7 @@ mod tests {
 
     #[test]
     fn render_shows_ceilings_and_points() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("Empirical ceilings"));
         assert!(s.contains("memory-bound"));

@@ -60,15 +60,6 @@ fn run_shrinking(
     }
 }
 
-/// Run the Figure 3 experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure3, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the Figure 3 experiment through a shared executor context.
 ///
 /// # Errors
@@ -147,7 +138,7 @@ mod tests {
 
     #[test]
     fn every_benchmark_speeds_up() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(f.speedups.len(), 7);
         for s in &f.speedups {
             assert!(s.speedup() > 1.0, "{}: {:.2}", s.id, s.speedup());
@@ -159,7 +150,7 @@ mod tests {
         // Paper: 1.5x (MRCNN) to 3.3x (Res50_TF). Our range lands at
         // [1.4x, 3.9x] with MRCNN/NCF/GNMT at the low end — see
         // EXPERIMENTS.md for the per-benchmark comparison.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let by_id = |id: BenchmarkId| {
             f.speedups
                 .iter()
@@ -189,7 +180,7 @@ mod tests {
 
     #[test]
     fn render_lists_speedups() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("Speedup"));
         assert!(s.contains("MLPf_NCF_Py"));

@@ -45,19 +45,10 @@ pub struct Figure4 {
 }
 
 /// Measure each MLPerf benchmark's training time at every GPU width on the
-/// DSS 8440, producing the scheduler's input.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn measure_job_times() -> Result<Vec<JobTimes>, SimError> {
-    measure_job_times_ctx(&Ctx::new())
-}
-
-/// [`measure_job_times`] through a shared executor context; the grid is
-/// the declarative [`sweep::figure4_scaling`] sweep (workload outermost,
-/// GPU width inner), and its 1/2/4/8-GPU DSS-8440 points are the same
-/// ones Table IV prices, so in a shared context this costs nothing extra.
+/// DSS 8440, producing the scheduler's input. The grid is the declarative
+/// [`sweep::figure4_scaling`] sweep (workload outermost, GPU width inner),
+/// and its 1/2/4/8-GPU DSS-8440 points are the same ones Table IV prices,
+/// so in a shared context this costs nothing extra.
 ///
 /// # Errors
 ///
@@ -77,15 +68,6 @@ pub fn measure_job_times_ctx(ctx: &Ctx) -> Result<Vec<JobTimes>, SimError> {
         jobs.push(JobTimes::new(id.abbreviation(), times));
     }
     Ok(jobs)
-}
-
-/// Run the Figure 4 experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure4, SimError> {
-    run_ctx(&Ctx::new())
 }
 
 /// Run the Figure 4 experiment through a shared executor context.
@@ -202,7 +184,7 @@ mod tests {
 
     #[test]
     fn optimal_beats_naive_at_small_pools() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         for s in &f.studies {
             assert!(
                 s.optimal.makespan <= s.naive.makespan + 1e-9,
@@ -216,7 +198,7 @@ mod tests {
     #[test]
     fn savings_shrink_as_the_pool_grows() {
         // Paper: ~4.1 h at 2 GPUs, ~3.0 h at 4, ~0.4 h at 8.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let by_g = |g: u64| {
             f.studies
                 .iter()
@@ -235,7 +217,7 @@ mod tests {
     #[test]
     fn poorly_scaling_jobs_get_narrow_placements() {
         // The optimum should not give NCF all four GPUs.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let four = f.studies.iter().find(|s| s.gpu_count == 4).unwrap();
         let ncf_idx = four
             .job_names
@@ -257,7 +239,7 @@ mod tests {
 
     #[test]
     fn gantt_renders_every_gpu_row() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let four = f.studies.iter().find(|s| s.gpu_count == 4).unwrap();
         let gantt = render_gantt(four, &four.optimal);
         assert_eq!(gantt.lines().count(), 5); // 4 GPU rows + legend
@@ -267,7 +249,7 @@ mod tests {
 
     #[test]
     fn full_render_includes_both_charts() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         assert!(s.contains("(a) naive"));
         assert!(s.contains("(b) optimal"));

@@ -47,16 +47,6 @@ pub struct Figure5 {
     pub rows: Vec<TopologyRow>,
 }
 
-/// Run the Figure 5 experiment (all 7 MLPerf benchmarks × 5 platforms,
-/// 4 GPUs each).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Figure5, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the Figure 5 experiment through a shared executor context.
 ///
 /// # Errors
@@ -139,7 +129,7 @@ mod tests {
 
     #[test]
     fn nvlink_systems_are_fastest_for_every_benchmark() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         for row in &f.rows {
             let nvlink_best = row.on(SystemId::C4140M).min(row.on(SystemId::C4140K));
             for slower in [SystemId::T640, SystemId::R940Xa] {
@@ -157,7 +147,7 @@ mod tests {
 
     #[test]
     fn switch_platform_beats_cpu_attached_platforms() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         for row in &f.rows {
             let b = row.on(SystemId::C4140B);
             let worst_cpu = row.on(SystemId::T640).max(row.on(SystemId::R940Xa));
@@ -179,7 +169,7 @@ mod tests {
         // compare B against the *PCIe-GPU* platforms: for image
         // classification B ties T640 (within 1%) while for translation it
         // beats it clearly.
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         for id in [BenchmarkId::MlpfRes50Tf, BenchmarkId::MlpfRes50Mx] {
             let row = by_id(&f, id);
             let switch = row.on(SystemId::C4140B);
@@ -206,7 +196,7 @@ mod tests {
     #[test]
     fn translation_benefits_most_from_nvlink() {
         // Paper: 42% (XFMR) and 30% (MRCNN) vs 11% (image classification).
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let xfmr = by_id(&f, BenchmarkId::MlpfXfmrPy).nvlink_improvement();
         let res50 = by_id(&f, BenchmarkId::MlpfRes50Tf).nvlink_improvement();
         assert!(xfmr > 0.20, "XFMR improvement {xfmr}");
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_platforms() {
-        let f = run().unwrap();
+        let f = run_ctx(&Ctx::new()).unwrap();
         let s = render(&f);
         for id in SystemId::FOUR_GPU_PLATFORMS {
             assert!(s.contains(id.name()), "{id}");

@@ -33,15 +33,6 @@ pub const CONFIGS: [(StorageDevice, ReadPattern); 4] = [
     (StorageDevice::NvmeSsd, ReadPattern::RandomRecords),
 ];
 
-/// Run the study on the C4140 (K) at 4 GPUs.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Vec<StorageRow>, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the study through a shared executor context (the quad-GPU C4140 (K)
 /// points are the same ones Table V and Figure 1 price).
 ///
@@ -129,7 +120,7 @@ mod tests {
 
     #[test]
     fn imagenet_demands_more_than_an_hdd_at_random() {
-        let rows = run().unwrap();
+        let rows = run_ctx(&Ctx::new()).unwrap();
         let res50 = by_id(&rows, BenchmarkId::MlpfRes50Mx);
         // HDD random-record reads cannot feed a 4-GPU ResNet-50 epoch.
         assert!(!res50.plans[1].keeps_up(), "{}", res50.plans[1]);
@@ -139,7 +130,7 @@ mod tests {
 
     #[test]
     fn small_datasets_never_touch_the_disk() {
-        let rows = run().unwrap();
+        let rows = run_ctx(&Ctx::new()).unwrap();
         for id in [BenchmarkId::MlpfNcfPy, BenchmarkId::MlpfXfmrPy] {
             let row = by_id(&rows, id);
             for p in &row.plans {
@@ -151,7 +142,7 @@ mod tests {
 
     #[test]
     fn render_prints_verdicts() {
-        let rows = run().unwrap();
+        let rows = run_ctx(&Ctx::new()).unwrap();
         let s = render(&rows);
         assert!(s.contains("ok"));
         assert!(s.contains("slow"));

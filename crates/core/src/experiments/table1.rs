@@ -1,7 +1,7 @@
 //! Table I: the paper's key insights, re-verified against the simulator.
 //!
 //! Each row of the published summary table is turned into a concrete check
-//! over the reproduced experiments; `run()` evaluates all of them and
+//! over the reproduced experiments; `run_ctx` evaluates all of them and
 //! reports which hold in this reproduction.
 
 use crate::experiments::{figure1, figure2, figure3, figure4, figure5, table4};
@@ -30,15 +30,6 @@ pub struct Insight {
 pub struct Table1 {
     /// All insights, in Table I order.
     pub insights: Vec<Insight>,
-}
-
-/// Run every underlying experiment and evaluate the Table I claims.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Table1, SimError> {
-    run_ctx(&Ctx::new())
 }
 
 /// Evaluate the Table I claims over a shared executor context. Each
@@ -226,7 +217,7 @@ mod tests {
 
     #[test]
     fn all_insights_hold() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(t.insights.len(), 6);
         for i in &t.insights {
             assert!(i.holds, "insight failed: {} ({})", i.claim, i.evidence);
@@ -235,7 +226,7 @@ mod tests {
 
     #[test]
     fn render_marks_confirmations() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let s = render(&t);
         assert!(s.contains("yes"));
         assert!(s.contains("Figure 5"));

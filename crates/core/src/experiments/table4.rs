@@ -33,15 +33,6 @@ pub struct Table4 {
     pub gnmt: ScalingRow,
 }
 
-/// Run the Table IV experiment standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Table4, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the Table IV experiment through a shared executor context.
 ///
 /// # Errors
@@ -74,15 +65,6 @@ fn scaling_row(ctx: &Ctx, id: BenchmarkId) -> Result<ScalingRow, SimError> {
         v100.push((n as u64, t));
     }
     Ok(ScalingRow::new(id.abbreviation(), p100_min, v100))
-}
-
-/// Extension: the GNMT row Table IV omits, predicted by the simulator.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn gnmt_prediction() -> Result<ScalingRow, SimError> {
-    scaling_row(&Ctx::new(), BenchmarkId::MlpfGnmtPy)
 }
 
 /// Render the simulated table with the paper's numbers interleaved.
@@ -173,7 +155,7 @@ mod tests {
 
     #[test]
     fn table_runs_for_all_six_benchmarks() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(t.rows.len(), 6);
         for row in &t.rows {
             assert!(row.p100_minutes() > 0.0);
@@ -187,7 +169,7 @@ mod tests {
 
     #[test]
     fn scaling_shape_matches_paper() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let by_name = |n: &str| {
             t.rows
                 .iter()
@@ -204,7 +186,7 @@ mod tests {
 
     #[test]
     fn render_interleaves_paper_rows() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let s = render(&t);
         assert!(s.contains("sim"));
         assert!(s.contains("paper"));

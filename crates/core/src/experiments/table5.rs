@@ -24,15 +24,6 @@ pub struct Table5 {
 /// GPU counts measured for each multi-GPU workload.
 const GPU_COUNTS: [u32; 3] = [1, 2, 4];
 
-/// Run the Table V experiment on the C4140 (K) standalone.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Table5, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the Table V experiment through a shared executor context.
 ///
 /// # Errors
@@ -128,7 +119,7 @@ mod tests {
 
     #[test]
     fn row_count_matches_published_layout() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         // 7 MLPerf x 3 + 2 DAWNBench + 3 DeepBench compute + 3 Red.
         assert_eq!(t.runs.len(), 7 * 3 + 2 + 3 + 3);
     }
@@ -137,7 +128,7 @@ mod tests {
     fn cpu_util_roughly_doubles_with_gpus() {
         // §V-A: "as we double the number of GPUs ... CPU utilization
         // roughly doubles", for every MLPerf submission.
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         for id in BenchmarkId::MLPERF {
             let name = id.abbreviation();
             let u1 = find(&t, name, 1).usage.cpu_util_pct;
@@ -152,7 +143,7 @@ mod tests {
 
     #[test]
     fn cpu_util_ordering_matches_section_v_a() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let u = |n: &str| find(&t, n, 1).usage.cpu_util_pct;
         // Res50_TF highest, then Res50_MX; NCF lowest among MLPerf.
         assert!(u("MLPf_Res50_TF") > u("MLPf_Res50_MX"));
@@ -174,7 +165,7 @@ mod tests {
     #[test]
     fn drqa_has_lowest_gpu_utilization() {
         // §V-A: DrQA shows ~20% GPU utilization, least of all workloads.
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let drqa = find(&t, "Dawn_DrQA_Py", 1);
         assert!(
             drqa.usage.gpu_util_pct < 45.0,
@@ -196,7 +187,7 @@ mod tests {
     fn footprints_grow_with_gpu_count() {
         // §V-C: system memory footprint roughly doubles with GPU count;
         // HBM footprint is the sum over GPUs.
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         for id in BenchmarkId::MLPERF {
             let name = id.abbreviation();
             let f1 = find(&t, name, 1).usage;
@@ -208,7 +199,7 @@ mod tests {
 
     #[test]
     fn nvlink_appears_only_at_multi_gpu() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         for r in &t.runs {
             if r.n_gpus == 1 {
                 assert_eq!(r.usage.nvlink_mbps, 0.0, "{}", r.name);
@@ -223,7 +214,7 @@ mod tests {
     #[test]
     fn red_cu_has_the_highest_nvlink_rate() {
         // §V-D: Deep_Red_Cu uses the highest NVLink bandwidth.
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let red = find(&t, "Deep_Red_Cu", 4).usage.nvlink_mbps;
         for r in &t.runs {
             if r.name != "Deep_Red_Cu" {
@@ -235,14 +226,14 @@ mod tests {
     #[test]
     fn ncf_per_gpu_utilization_drops_at_four_gpus() {
         // §V-B: NCF shows decreasing individual GPU usage at 4 GPUs.
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let per_gpu = |n: u64| find(&t, "MLPf_NCF_Py", n).usage.gpu_util_pct / n as f64;
         assert!(per_gpu(4) < per_gpu(2));
     }
 
     #[test]
     fn render_contains_all_rows() {
-        let t = run().unwrap();
+        let t = run_ctx(&Ctx::new()).unwrap();
         let s = render(&t);
         assert!(s.contains("Deep_Red_Cu"));
         assert!(s.contains("Dawn_DrQA_Py"));

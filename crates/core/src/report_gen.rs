@@ -8,9 +8,7 @@
 //! bytes are identical for any `MLPERF_JOBS` worker count.
 
 use crate::report::Table;
-use crate::runner::{
-    self, CacheStats, Ctx, Experiment, ExecutorStats, ExperimentError, Pool, ResilienceConfig,
-};
+use crate::runner::{self, CacheStats, Ctx, Experiment, ExecutorStats, Pool, ResilienceConfig};
 use crate::sweep::{DiskCache, DiskStats};
 use std::time::Duration;
 
@@ -19,27 +17,6 @@ use std::time::Duration;
 /// order); the next is the validation scorecard and the rest are the
 /// extension studies.
 const PAPER_ARTIFACTS: usize = 10;
-
-/// Build the full report on an explicit pool and context, returning the
-/// executor's instrumentation alongside the markdown. The markdown bytes
-/// depend only on the simulated numbers — never on the pool size or the
-/// wall-clock — which is what the golden-file and parity tests pin down.
-/// Strict (fail-fast).
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] from the underlying
-/// experiments.
-pub fn build_with(pool: &Pool, ctx: &Ctx) -> Result<(String, ExecutorStats), ExperimentError> {
-    // Table I cross-checks six other artifacts; before the shared artifact
-    // store existed, including it would have doubled the report's cost, so
-    // it was left out. Under the executor it reuses the stored results and
-    // the complete artifact set ships in one document.
-    let experiments = runner::all_experiments();
-    let execution = runner::execute(pool, ctx, &experiments)?;
-    let stats = execution.stats.clone();
-    Ok((assemble(&execution, None), stats))
-}
 
 /// The persistent-cache entry spec of one experiment's rendered section:
 /// `report-section:` plus the experiment's canonical
@@ -97,13 +74,18 @@ fn decode_stats(bytes: &[u8]) -> Option<CacheStats> {
     })
 }
 
-/// Build the full report with failure isolation, through the persistent
-/// result cache when one is given. Failed experiments contribute a
+/// Build the full report — every experiment of [`runner::all_experiments`],
+/// Table I included — with failure isolation, through the persistent
+/// result cache when one is given. The markdown bytes depend only on the
+/// simulated numbers, never on the pool size or the wall-clock, which is
+/// what the golden-file and parity tests pin. Failed experiments contribute a
 /// deterministic placeholder section plus a row in the failure appendix,
 /// and every healthy section's bytes are identical to a fully-healthy
 /// run. Inspect [`runner::Execution::degraded`] on the returned execution
 /// to decide the exit status, or [`runner::Execution::root_cause`] to
-/// fail fast before writing anything.
+/// fail fast before writing anything (with
+/// [`ResilienceConfig::strict`]: no retries, so the first failure is the
+/// verdict).
 ///
 /// - `cache == None` (disabled via `--no-cache` / `MLPERF_CACHE=off`, or
 ///   chaos injection active): every experiment runs.
@@ -378,9 +360,18 @@ fn appendix(execution: &runner::Execution, disk: Option<DiskStats>) -> String {
 mod tests {
     use super::*;
 
+    /// A strict, cache-free build, asserting every experiment succeeded.
+    fn build_strict(pool: &Pool, ctx: &Ctx) -> (String, runner::Execution) {
+        let (md, execution) = build_cached(pool, ctx, &ResilienceConfig::strict(), None);
+        if let Some(f) = execution.root_cause() {
+            panic!("{} failed: {}", f.id, f.error);
+        }
+        (md, execution)
+    }
+
     #[test]
     fn report_contains_every_section() {
-        let (md, _) = build_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
+        let (md, _) = build_strict(&Pool::with_workers(2), &Ctx::new());
         for needle in [
             "# Reproduction report",
             "Table I:",
@@ -414,7 +405,8 @@ mod tests {
         // The whole point of the executor: the full report answers a large
         // share of its simulation requests from the memo cache.
         let ctx = Ctx::new();
-        let (_, stats) = build_with(&Pool::with_workers(1), &ctx).unwrap();
+        let (_, execution) = build_strict(&Pool::with_workers(1), &ctx);
+        let stats = execution.stats;
         assert!(
             stats.cache.hits() > 0,
             "full report produced no cache hits: {:?}",

@@ -12,15 +12,15 @@
 //! * [`ShardedCache`] — a compute-once memo cache keyed by [`RunKey`], so
 //!   each simulation point is priced exactly once per report;
 //! * [`Experiment`] — the one trait every experiment module implements;
-//! * [`execute`] — topological scheduling of an experiment DAG onto the
-//!   pool, with output assembled in declaration order (strict,
-//!   fail-fast);
-//! * [`execute_resilient`] — the same schedule with full failure
-//!   isolation: panics, budget trips, and non-finite outputs become
-//!   typed [`ExperimentError`]s, transient failures retry with seeded
-//!   recorded backoff, dependents of a failure degrade as
-//!   [`ExperimentError::DependencyFailed`], and every independent
-//!   subgraph still completes (see [`ResilienceConfig`]).
+//! * [`execute_resilient`] — the one executor: topological scheduling of
+//!   an experiment DAG onto the pool, output assembled in declaration
+//!   order, with full failure isolation: panics, budget trips, and
+//!   non-finite outputs become typed [`ExperimentError`]s, transient
+//!   failures retry with seeded recorded backoff, dependents of a failure
+//!   degrade as [`ExperimentError::DependencyFailed`], and every
+//!   independent subgraph still completes. Fail-fast callers pass
+//!   [`ResilienceConfig::strict`] and check [`Execution::root_cause`]
+//!   (see [`ResilienceConfig`]).
 //!
 //! **Determinism policy.** Report and CSV bytes must be identical for any
 //! worker count (`MLPERF_JOBS=1` vs `=N`), so nothing nondeterministic may
@@ -38,7 +38,7 @@ mod pool;
 pub use error::{fnv1a64, BudgetExceeded, ExperimentError};
 pub(crate) use error::panic_message as panic_payload_message;
 pub use memo::ShardedCache;
-pub use pool::{Pool, TaskFailure, JOBS_ENV};
+pub use pool::{Pool, JOBS_ENV};
 
 use crate::benchmark::BenchmarkId;
 use crate::experiments::{
@@ -99,10 +99,10 @@ pub struct RunKey {
 /// adjusted) job on the first `gpus` GPUs of a platform.
 #[derive(Debug, Clone)]
 pub struct TrainPoint {
-    benchmark: BenchmarkId,
+    pub(crate) benchmark: BenchmarkId,
     reference: bool,
-    system: SystemId,
-    gpus: u32,
+    pub(crate) system: SystemId,
+    pub(crate) gpus: u32,
     precision: Option<PrecisionPolicy>,
     per_gpu_batch: Option<u64>,
     partition: Option<PartitionSpec>,
@@ -1446,31 +1446,6 @@ pub fn execute_resilient(
         recoveries,
         stats,
     }
-}
-
-/// Strict (fail-fast) execution: schedule the DAG with no retries and
-/// return the first root-cause failure in declaration order as a hard
-/// error.
-///
-/// # Errors
-///
-/// The first [`ExperimentError`] in declaration order that is not a
-/// dependency cascade (falling back to the cascade if every failure is
-/// one).
-///
-/// # Panics
-///
-/// Panics on duplicate experiment ids.
-pub fn execute(
-    pool: &Pool,
-    ctx: &Ctx,
-    experiments: &[&dyn Experiment],
-) -> Result<Execution, ExperimentError> {
-    let execution = execute_resilient(pool, ctx, experiments, &ResilienceConfig::strict());
-    if let Some(f) = execution.root_cause() {
-        return Err(f.error.clone());
-    }
-    Ok(execution)
 }
 
 /// The nineteen experiments of the full report, in the report's output

@@ -31,17 +31,17 @@ pub const JOBS_ENV: &str = "MLPERF_JOBS";
 const IDLE_PARK: Duration = Duration::from_micros(100);
 
 /// Lock that survives a poisoned mutex: a panicking task must not wedge
-/// the pool (failures are recorded per slot and the DAG keeps draining,
-/// see `run_dag_catching`), so every internal lock recovers the guard
+/// the pool (failures are recorded per slot and the DAG keeps draining
+/// before `run_dag` re-raises), so every internal lock recovers the guard
 /// instead of propagating the poison.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Why one DAG task produced no value (the catching scheduler's
-/// per-slot failure record).
+/// Why one DAG task produced no value (the scheduler's per-slot failure
+/// record).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskFailure {
+enum TaskFailure {
     /// The task's closure panicked; `message` is the stringified payload.
     Panicked {
         /// The panic payload, as text.
@@ -101,10 +101,9 @@ impl Pool {
     /// Re-raises the first task panic on the calling thread — but only
     /// after the rest of the DAG has drained: every task independent of
     /// the panicking one still runs to completion (transitive dependents
-    /// are skipped). Use [`Pool::run_dag_catching`] to receive failures
-    /// as values instead. Also panics on malformed input: `deps` and
-    /// `tasks` lengths differing, an out-of-range or self dependency, or
-    /// a dependency cycle.
+    /// are skipped). Also panics on malformed input: `deps` and `tasks`
+    /// lengths differing, an out-of-range or self dependency, or a
+    /// dependency cycle.
     pub fn run_dag<T, F>(&self, tasks: Vec<F>, deps: &[Vec<usize>]) -> Vec<T>
     where
         T: Send,
@@ -123,27 +122,6 @@ impl Pool {
                 Err(f) => unreachable!("task failed without a panic payload: {}", f.message()),
             })
             .collect()
-    }
-
-    /// Execute a task DAG, catching failures per slot: a panicking task
-    /// yields [`TaskFailure::Panicked`], its transitive dependents yield
-    /// [`TaskFailure::Dependency`] without running, and every other task
-    /// completes normally. The first panic payload is dropped (its
-    /// message survives in the failure record).
-    ///
-    /// # Panics
-    ///
-    /// Only on malformed input, as [`Pool::run_dag`].
-    pub fn run_dag_catching<T, F>(
-        &self,
-        tasks: Vec<F>,
-        deps: &[Vec<usize>],
-    ) -> Vec<Result<T, TaskFailure>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        self.run_dag_inner(tasks, deps).0
     }
 
     #[allow(clippy::type_complexity)]
@@ -263,8 +241,7 @@ struct DagState<F, T> {
     dependents: Vec<Vec<usize>>,
     /// Tasks not yet completed (cycle detection + shutdown signal).
     remaining: AtomicUsize,
-    /// First panic payload, re-raised by `run_dag` (dropped by
-    /// `run_dag_catching`).
+    /// First panic payload, re-raised by `run_dag`.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Global FIFO holding the initially-ready tasks.
     injector: Mutex<VecDeque<usize>>,
@@ -451,7 +428,8 @@ mod tests {
         // 1 depends on the panicker, 4 depends on 1 (transitive); 2 and 3
         // are independent and must still run.
         let deps = vec![vec![], vec![0], vec![], vec![], vec![1]];
-        let results = pool.run_dag_catching(tasks, &deps);
+        let (results, payload) = pool.run_dag_inner(tasks, &deps);
+        assert!(payload.is_some(), "run_dag re-raises this payload");
         assert_eq!(results.len(), 5, "no slot may vanish");
         match &results[0] {
             Err(TaskFailure::Panicked { message }) => {

@@ -131,15 +131,6 @@ fn perturbed_speedup8(ctx: &Ctx, job: &TrainingJob) -> Result<f64, SimError> {
     Ok(t1 / t8)
 }
 
-/// Run the study over a representative benchmark subset.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run() -> Result<Sensitivity, SimError> {
-    run_ctx(&Ctx::new())
-}
-
 /// Run the study through a shared executor context.
 ///
 /// # Errors
@@ -229,7 +220,7 @@ mod tests {
     fn derived_speedups_are_knob_insensitive() {
         // The core robustness claim: ±20% on any fitted knob moves the
         // derived 8-GPU speedup by well under 20% (|elasticity| < 1).
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         assert_eq!(s.cells.len(), 9);
         for c in &s.cells {
             assert!(
@@ -246,7 +237,7 @@ mod tests {
     fn faster_compute_means_worse_scaling() {
         // Raising tensor efficiency shortens compute, making communication
         // relatively larger: the speedup must not improve.
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         for c in s.cells.iter().filter(|c| c.knob == Knob::TensorEfficiency) {
             assert!(
                 c.high <= c.baseline + 0.05,
@@ -260,7 +251,7 @@ mod tests {
 
     #[test]
     fn render_shows_elasticities() {
-        let s = run().unwrap();
+        let s = run_ctx(&Ctx::new()).unwrap();
         let text = render(&s);
         assert!(text.contains("Elasticity"));
         assert!(text.contains("comm overlap"));

@@ -55,10 +55,10 @@ pub mod protocol;
 
 use crate::config::Config;
 use crate::runner::{
-    panic_payload_message, BudgetExceeded, Ctx, ExperimentError, Pool, ShardedCache, TrainPoint,
+    panic_payload_message, BudgetExceeded, Ctx, ExperimentError, Pool, ShardedCache,
 };
 use crate::sweep::{self, registry, CellError, CellKind, CellSpec, DiskCache};
-use mlperf_sim::engine::{SimError, Simulator};
+use mlperf_sim::engine::Simulator;
 use mlperf_testkit::hash::fnv1a64;
 use protocol::{QueryV1, Request, BAD_REQUEST};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -575,8 +575,7 @@ impl Server {
         // rejecting here produces the same error bytes the priced path
         // would — without occupying the coalescing machinery.
         if spec.kind == CellKind::Training {
-            if let Err(e) = self.preflight(spec) {
-                let err = CellError::from_sim(e);
+            if let Err(err) = self.preflight(spec) {
                 self.error_responses.fetch_add(1, Ordering::Relaxed);
                 return out
                     .write_all(protocol::error_frame(&req.id, &err.kind, &err.message).as_bytes());
@@ -639,30 +638,21 @@ impl Server {
         Ok(())
     }
 
-    /// The engine's admission check for the exact job the executor would
-    /// run (same interned template, same override order as
-    /// [`Ctx::step`]). Training cells only: expected-TTT cells validate
-    /// their extra dimensions in `price_cell` *before* touching the
-    /// engine, and re-ordering those checks here would change error
+    /// The engine's admission check for the exact job `price_cell` would
+    /// run: the same [`CellSpec::train_point`] (partition included), the
+    /// same interned template. Training cells only: expected-TTT cells
+    /// validate their extra dimensions in `price_cell` *before* touching
+    /// the engine, and re-ordering those checks here would change error
     /// bytes.
-    fn preflight(&self, spec: &CellSpec) -> Result<(), SimError> {
-        let (Some(workload), Some(system), Some(gpus)) = (spec.workload, spec.system, spec.gpus)
-        else {
-            // The parser requires all three; pricing reports the
-            // invalid-spec if this is ever reached some other way.
-            return Ok(());
-        };
-        let mut point = TrainPoint::new(workload, system, gpus);
-        if let Some(b) = spec.batch {
-            point = point.with_per_gpu_batch(b);
-        }
-        if let Some(p) = spec.precision {
-            point = point.with_precision(p);
-        }
+    fn preflight(&self, spec: &CellSpec) -> Result<(), CellError> {
+        let point = spec.train_point()?;
         let job = self.ctx.job_for(&point);
-        let system_spec = self.ctx.system_spec(system);
-        let ordinals: Vec<u32> = (0..gpus).collect();
-        Simulator::new(&system_spec).preflight(&job, &ordinals).map(|_| ())
+        let system_spec = self.ctx.system_spec(point.system);
+        let ordinals: Vec<u32> = (0..point.gpus).collect();
+        Simulator::new(&system_spec)
+            .preflight(&job, &ordinals)
+            .map(|_| ())
+            .map_err(CellError::from_sim)
     }
 }
 

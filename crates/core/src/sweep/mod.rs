@@ -224,6 +224,34 @@ impl CellSpec {
         s.into_bytes()
     }
 
+    /// The training point this cell prices, shared by [`price_cell`] and
+    /// the serve layer's admission check so both gate the same job (the
+    /// partition included). Expected-TTT cells price the benchmark's
+    /// default job: their batch and precision are not applied.
+    ///
+    /// # Errors
+    ///
+    /// `invalid-spec` when the workload, system or GPU count is missing.
+    pub(crate) fn train_point(&self) -> Result<TrainPoint, CellError> {
+        let workload = self
+            .workload
+            .ok_or_else(|| CellError::invalid("cell has no workload"))?;
+        let system = self
+            .system
+            .ok_or_else(|| CellError::invalid("cell has no system"))?;
+        let gpus = self.gpus.ok_or_else(|| CellError::invalid("cell has no gpu count"))?;
+        let mut point = TrainPoint::new(workload, system, gpus).with_partition(self.partition);
+        if self.kind == CellKind::Training {
+            if let Some(b) = self.batch {
+                point = point.with_per_gpu_batch(b);
+            }
+            if let Some(p) = self.precision {
+                point = point.with_precision(p);
+            }
+        }
+        Ok(point)
+    }
+
     /// The cell's identity with the run count stripped: what the
     /// replication layer hashes to split per-run PRNG streams, so that
     /// 8-run and 16-run pricings of the same physical cell draw from the
@@ -559,25 +587,9 @@ pub fn effective_runs(ctx: &Ctx, spec: &CellSpec) -> u32 {
 /// A [`CellError`]: `invalid-spec` when a required dimension is missing,
 /// otherwise the simulator's verdict (`oom`, `non-finite`, ...).
 pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
-    let workload = spec
-        .workload
-        .ok_or_else(|| CellError::invalid("cell has no workload"))?;
-    let system = spec
-        .system
-        .ok_or_else(|| CellError::invalid("cell has no system"))?;
-    let gpus = spec.gpus.ok_or_else(|| CellError::invalid("cell has no gpu count"))?;
+    let point = spec.train_point()?;
     match spec.kind {
         CellKind::Training => {
-            let mut point = TrainPoint::new(workload, system, gpus);
-            if let Some(b) = spec.batch {
-                point = point.with_per_gpu_batch(b);
-            }
-            if let Some(p) = spec.precision {
-                point = point.with_precision(p);
-            }
-            if spec.partition.is_some() {
-                point = point.with_partition(spec.partition);
-            }
             let (step, outcome) = ctx.step_and_outcome(&point).map_err(CellError::from_sim)?;
             // Epochs are charged by the *base* job's convergence model at
             // the cell's effective global batch (matching the batch
@@ -585,9 +597,9 @@ pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
             // in for rebuilding the job from the zoo per cell; the batch
             // override wins over the template default exactly as
             // `with_per_gpu_batch` would.
-            let base = ctx.base_job(workload, false);
+            let base = ctx.base_job(point.benchmark, false);
             let per_gpu = spec.batch.unwrap_or_else(|| base.per_gpu_batch());
-            let global_batch = per_gpu * u64::from(gpus);
+            let global_batch = per_gpu * u64::from(point.gpus);
             let epochs = base.convergence().epochs_at(global_batch);
             let mut values = vec![
                 outcome.total_time.as_minutes(),
@@ -623,13 +635,9 @@ pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
             let choice = spec
                 .interval
                 .ok_or_else(|| CellError::invalid("expected-TTT cell has no interval"))?;
-            let mut point = TrainPoint::new(workload, system, gpus);
-            if spec.partition.is_some() {
-                point = point.with_partition(spec.partition);
-            }
             let outcome = ctx.outcome(&point).map_err(CellError::from_sim)?;
             let work = outcome.total_time;
-            let job = ctx.base_job(workload, false);
+            let job = ctx.base_job(point.benchmark, false);
             let probe = CheckpointSpec::new(Seconds::from_minutes(10.0), CHECKPOINT_DEVICE);
             let write_cost = probe.write_cost(&job);
             let restart_cost = probe.restart_cost(&job);
@@ -743,27 +751,16 @@ pub(crate) fn run_cell(ctx: &Ctx, spec: &CellSpec, cache: Option<&DiskCache>) ->
     }
 }
 
-/// Run a sweep serially on the calling thread (what the experiments do —
-/// they already execute inside a pool worker).
+/// Run a sweep serially on the calling thread, keeping every typed cell
+/// (what the experiments do — they already execute inside a pool worker).
+/// Rendered with [`to_csv`], the bytes are identical to what
+/// [`run_streamed`] writes at any worker count.
 pub fn run_serial(ctx: &Ctx, spec: &SweepSpec, cache: Option<&DiskCache>) -> SweepRun {
     let cells = spec
         .cells()
         .iter()
         .map(|c| run_cell(ctx, c, cache))
         .collect();
-    collect(spec, ctx.runs(), cells)
-}
-
-/// Run a sweep's cells on the pool (the `repro sweep` path). Results come
-/// back in expansion order regardless of the interleaving, so the output
-/// is byte-identical to [`run_serial`].
-pub fn run_pooled(pool: &Pool, ctx: &Ctx, spec: &SweepSpec, cache: Option<&DiskCache>) -> SweepRun {
-    let cell_specs = spec.cells();
-    let tasks: Vec<_> = cell_specs
-        .iter()
-        .map(|c| move || run_cell(ctx, c, cache))
-        .collect();
-    let cells = pool.run_all(tasks);
     collect(spec, ctx.runs(), cells)
 }
 
@@ -922,9 +919,10 @@ pub struct StreamSummary {
     pub errors: usize,
     /// Cells answered by the persistent cache.
     pub disk_hits: usize,
-    /// Peak number of priced-but-unwritten cells resident at once —
-    /// bounded by the shard size, never by the grid. The proof that
-    /// streaming buffering stayed bounded.
+    /// The largest shard held at once (cells priced and encoded but not
+    /// yet written): the shard size, or the grid when it is smaller. It
+    /// is worked out from the shard bounds, not measured; it records that
+    /// the runner never holds more than one shard of rows.
     pub peak_resident: usize,
 }
 
@@ -973,7 +971,7 @@ fn encode_chunk(
 /// chunk expands its cells via [`SweepSpec::cell_at`], prices them, and
 /// encodes the rows with the same encoder as [`to_csv`]. The calling
 /// thread writes the chunk buffers in expansion order. The emitted bytes
-/// are identical to `to_csv(&run_pooled(..))`.
+/// are identical to `to_csv(&run_serial(..))`.
 ///
 /// # Errors
 ///
@@ -1222,11 +1220,18 @@ mod tests {
         assert_eq!(last.system, Some(SystemId::T640));
     }
 
+    /// The CSV `run_streamed` writes for `spec` on `workers` workers.
+    fn streamed(workers: usize, ctx: &Ctx, spec: &SweepSpec) -> String {
+        let mut out = Vec::new();
+        run_streamed(&Pool::with_workers(workers), ctx, spec, None, &mut out, 8).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn streamed_run_matches_in_memory_bytes() {
         let ctx = Ctx::new();
         let spec = fault_ttt();
-        let expected = to_csv(&run_pooled(&Pool::with_workers(2), &ctx, &spec, None));
+        let expected = to_csv(&run_serial(&ctx, &spec, None));
         let mut out = Vec::new();
         let summary =
             run_streamed(&Pool::with_workers(2), &Ctx::new(), &spec, None, &mut out, 4)
@@ -1334,12 +1339,7 @@ mod tests {
     fn replicated_sweep_is_worker_invariant_and_replays_bitwise() {
         let spec = figure4_scaling();
         let a = to_csv(&run_serial(&Ctx::new().with_runs(8), &spec, None));
-        let b = to_csv(&run_pooled(
-            &Pool::with_workers(4),
-            &Ctx::new().with_runs(8),
-            &spec,
-            None,
-        ));
+        let b = streamed(4, &Ctx::new().with_runs(8), &spec);
         assert_eq!(a, b, "replication draws are scheduling-invariant");
         assert!(a.lines().next().unwrap().ends_with(
             ",runs,epochs_median,epochs_p5,epochs_p95,epochs_ci_lo,epochs_ci_hi,error"
@@ -1351,8 +1351,8 @@ mod tests {
         let ctx = Ctx::new();
         let spec = fault_ttt();
         let a = run_serial(&ctx, &spec, None);
-        let b = run_pooled(&Pool::with_workers(4), &Ctx::new(), &spec, None);
-        assert_eq!(to_csv(&a), to_csv(&b));
+        assert_eq!(to_csv(&a), streamed(1, &Ctx::new(), &spec));
+        assert_eq!(to_csv(&a), streamed(4, &Ctx::new(), &spec));
         assert_eq!(a.errors(), 0);
     }
 

@@ -17,7 +17,7 @@
 //!     debris and converges back to a fully-warm cache.
 
 use mlperf_suite::runner::{self, Ctx, Pool, ResilienceConfig};
-use mlperf_suite::sweep::{self, DiskCache};
+use mlperf_suite::sweep::{self, DiskCache, StreamSummary, SweepSpec};
 use mlperf_suite::{report_gen, BenchmarkId};
 use mlperf_testkit::iochaos::IoChaosPlan;
 use mlperf_testkit::rng::Rng;
@@ -36,6 +36,14 @@ fn tmp(name: &str) -> PathBuf {
 
 fn cfg() -> ResilienceConfig {
     ResilienceConfig::resilient()
+}
+
+/// Stream `spec` through `cache` into memory: the CSV bytes and what the
+/// run did.
+fn stream(pool: &Pool, spec: &SweepSpec, cache: &DiskCache) -> (String, StreamSummary) {
+    let mut out = Vec::new();
+    let summary = sweep::run_streamed(pool, &Ctx::new(), spec, Some(cache), &mut out, 64).unwrap();
+    (String::from_utf8(out).unwrap(), summary)
 }
 
 /// Mutilate one entry file with a seeded-random scheme. `donor` is the
@@ -166,8 +174,7 @@ fn fuzzed_tampering_never_changes_sweep_csv_bytes() {
         let dir = tmp(&format!("tamper_sweep_w{workers}"));
         let pool = Pool::with_workers(workers);
         let cold_cache = DiskCache::open_with_epoch(&dir, EPOCH).unwrap();
-        let cold = sweep::run_pooled(&pool, &Ctx::new(), &spec, Some(&cold_cache));
-        let cold_csv = sweep::to_csv(&cold);
+        let (cold_csv, _) = stream(&pool, &spec, &cold_cache);
 
         let files = entry_files(&dir);
         assert!(files.len() > 1, "sweep stored too few cells");
@@ -185,17 +192,17 @@ fn fuzzed_tampering_never_changes_sweep_csv_bytes() {
         assert!(tampered > 0, "seeded battery tampered nothing");
 
         let cache = DiskCache::open_with_epoch(&dir, EPOCH).unwrap();
-        let warm = sweep::run_pooled(&pool, &Ctx::new(), &spec, Some(&cache));
-        assert_eq!(cold_csv, sweep::to_csv(&warm), "tampering changed sweep CSV");
+        let (warm, _) = stream(&pool, &spec, &cache);
+        assert_eq!(cold_csv, warm, "tampering changed sweep CSV");
         let s = cache.stats();
         assert_eq!(s.corrupt, tampered, "quarantine count != tampered count");
         assert_eq!(s.hits as usize + s.corrupt as usize, files.len());
 
         // Healed: fully warm replay.
         let healed = DiskCache::open_with_epoch(&dir, EPOCH).unwrap();
-        let again = sweep::run_pooled(&pool, &Ctx::new(), &spec, Some(&healed));
-        assert_eq!(again.disk_hits(), again.cells.len(), "healed sweep recomputed");
-        assert_eq!(cold_csv, sweep::to_csv(&again));
+        let (again, summary) = stream(&pool, &spec, &healed);
+        assert_eq!(summary.disk_hits, summary.cells, "healed sweep recomputed");
+        assert_eq!(cold_csv, again);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,7 +12,7 @@
 //! cargo test -p mlperf-suite --test conformance -- --ignored --nocapture
 //! ```
 
-use mlperf_suite::runner::{self, Ctx, Pool};
+use mlperf_suite::runner::{self, Ctx, Pool, ResilienceConfig};
 use mlperf_testkit::hash::fnv1a64_str;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -21,12 +21,13 @@ use std::sync::OnceLock;
 fn rendered() -> &'static BTreeMap<&'static str, String> {
     static SECTIONS: OnceLock<BTreeMap<&'static str, String>> = OnceLock::new();
     SECTIONS.get_or_init(|| {
-        let execution = runner::execute(
+        let execution = runner::execute_resilient(
             &Pool::with_workers(1),
             &Ctx::new(),
             &runner::all_experiments(),
-        )
-        .expect("all experiments healthy");
+            &ResilienceConfig::strict(),
+        );
+        assert!(execution.root_cause().is_none(), "all experiments healthy");
         execution
             .reports
             .iter()

@@ -9,7 +9,7 @@
 //! and commit the diff alongside the change that caused it.
 
 use mlperf_suite::csv_export::{self, ArtifactSet};
-use mlperf_suite::runner::{Ctx, Pool};
+use mlperf_suite::runner::{Ctx, Pool, ResilienceConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -18,7 +18,14 @@ use std::path::PathBuf;
 const WIDTHS: [usize; 2] = [1, 4];
 
 fn build(workers: usize) -> ArtifactSet {
-    csv_export::build_all_with(&Pool::with_workers(workers), &Ctx::new()).expect("export builds")
+    let (exports, execution) = csv_export::build_all_cached(
+        &Pool::with_workers(workers),
+        &Ctx::new(),
+        &ResilienceConfig::strict(),
+        None,
+    );
+    assert!(execution.root_cause().is_none(), "export builds");
+    exports
 }
 
 fn artifacts_dir() -> PathBuf {
@@ -56,6 +63,6 @@ fn every_artifact_on_disk_is_still_generated() {
         .collect();
     assert_eq!(
         built, on_disk,
-        "artifacts/ and csv_export::build_all_with() must list the same files"
+        "artifacts/ and csv_export::build_all_cached() must list the same files"
     );
 }

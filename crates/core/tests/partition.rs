@@ -81,9 +81,10 @@ fn partitioned_sweep_bytes_are_identical_across_replays_and_workers() {
     for workers in [1usize, 4] {
         for replay in 0..2 {
             let pool = Pool::with_workers(workers);
-            let run = sweep::run_pooled(&pool, &Ctx::new(), &spec, None);
+            let mut out = Vec::new();
+            sweep::run_streamed(&pool, &Ctx::new(), &spec, None, &mut out, 8).unwrap();
             assert_eq!(
-                sweep::to_csv(&run),
+                String::from_utf8(out).unwrap(),
                 reference,
                 "replay {replay} at {workers} workers drifted"
             );
@@ -127,11 +128,13 @@ fn disk_cache_keys_are_partition_aware_and_replay_warm() {
     // included — from disk, byte-identically.
     let spec = partition_scaling();
     let pool = Pool::with_workers(4);
-    let cold = sweep::run_pooled(&pool, &Ctx::new(), &spec, Some(&cache));
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    sweep::run_streamed(&pool, &Ctx::new(), &spec, Some(&cache), &mut cold, 8).unwrap();
     let warm_ctx = Ctx::new();
-    let warm = sweep::run_pooled(&pool, &warm_ctx, &spec, Some(&cache));
-    assert_eq!(sweep::to_csv(&cold), sweep::to_csv(&warm), "warm bytes differ");
-    assert_eq!(warm.disk_hits(), warm.cells.len(), "warm run recomputed cells");
+    let summary =
+        sweep::run_streamed(&pool, &warm_ctx, &spec, Some(&cache), &mut warm, 8).unwrap();
+    assert_eq!(cold, warm, "warm bytes differ");
+    assert_eq!(summary.disk_hits, summary.cells, "warm run recomputed cells");
     let (attempts, _) = warm_ctx.fast_stats();
     assert_eq!(attempts, 0, "a disk hit must never re-price a cell");
     let _ = std::fs::remove_dir_all(&dir);

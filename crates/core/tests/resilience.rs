@@ -607,8 +607,16 @@ fn strict_execute_surfaces_the_root_cause_not_the_cascade() {
         gpus: 1,
     };
     let experiments: [&dyn Experiment; 2] = [&DoomedExp, &dependent];
-    let err = runner::execute(&Pool::with_workers(2), &Ctx::new(), &experiments)
-        .expect_err("a panicking experiment must fail a strict run");
+    let execution = runner::execute_resilient(
+        &Pool::with_workers(2),
+        &Ctx::new(),
+        &experiments,
+        &ResilienceConfig::strict(),
+    );
+    let err = &execution
+        .root_cause()
+        .expect("a panicking experiment must fail a strict run")
+        .error;
     assert!(
         matches!(err, ExperimentError::Panicked { .. }),
         "strict mode must report the root cause, not the dependency cascade: {err}"
@@ -652,7 +660,13 @@ fn degraded_report_carries_the_failure_appendix_and_replays() {
 #[test]
 fn degraded_csv_export_isolates_the_victims_files() {
     quiet_chaos_panics();
-    let healthy = csv_export::build_all_with(&Pool::with_workers(2), &Ctx::new()).unwrap();
+    let (healthy, execution) = csv_export::build_all_cached(
+        &Pool::with_workers(2),
+        &Ctx::new(),
+        &ResilienceConfig::strict(),
+        None,
+    );
+    assert!(execution.root_cause().is_none());
     let cfg = ResilienceConfig {
         chaos: Some(ChaosSpec {
             target: "figure3".to_string(),

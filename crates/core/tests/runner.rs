@@ -8,7 +8,7 @@
 
 use mlperf_hw::SystemId;
 use mlperf_models::PrecisionPolicy;
-use mlperf_suite::runner::{Ctx, Pool, TrainPoint};
+use mlperf_suite::runner::{Ctx, Pool, ResilienceConfig, TrainPoint};
 use mlperf_suite::{csv_export, report_gen, BenchmarkId};
 use mlperf_testkit::prop::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,12 +49,23 @@ mlperf_testkit::properties! {
 fn report_and_csv_bytes_are_identical_for_any_worker_count() {
     // The full-report path: one serial and one 4-worker build, from cold
     // caches, must agree byte for byte (same for the CSV exports).
-    let (serial, _) = report_gen::build_with(&Pool::with_workers(1), &Ctx::new()).unwrap();
-    let (parallel, _) = report_gen::build_with(&Pool::with_workers(4), &Ctx::new()).unwrap();
-    assert_eq!(serial, parallel, "report bytes depend on the worker count");
+    let strict = ResilienceConfig::strict();
+    let report = |workers| {
+        let (md, execution) =
+            report_gen::build_cached(&Pool::with_workers(workers), &Ctx::new(), &strict, None);
+        assert!(execution.root_cause().is_none(), "report builds");
+        md
+    };
+    assert_eq!(report(1), report(4), "report bytes depend on the worker count");
 
-    let a = csv_export::build_all_with(&Pool::with_workers(1), &Ctx::new()).unwrap();
-    let b = csv_export::build_all_with(&Pool::with_workers(4), &Ctx::new()).unwrap();
+    let exports = |workers| {
+        let (set, execution) =
+            csv_export::build_all_cached(&Pool::with_workers(workers), &Ctx::new(), &strict, None);
+        assert!(execution.root_cause().is_none(), "exports build");
+        set
+    };
+    let a = exports(1);
+    let b = exports(4);
     assert_eq!(a.len(), b.len());
     for (ea, eb) in a.iter().zip(b.iter()) {
         assert_eq!(ea.file, eb.file);

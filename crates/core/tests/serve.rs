@@ -18,8 +18,9 @@
 //!     hammering one `MLPERF_CACHE_DIR` never corrupt an entry and never
 //!     cache an error as a success.
 
-use mlperf_suite::serve::{self, protocol, ServeOptions, Server};
-use mlperf_suite::sweep::{self, DiskCache};
+use mlperf_suite::serve::protocol::{self, QueryV1};
+use mlperf_suite::serve::{self, ServeOptions, Server};
+use mlperf_suite::sweep::{self, CellSpec, DiskCache};
 use mlperf_suite::{Config, runner::{Ctx, Pool}};
 use mlperf_testkit::loadgen::LoadSpec;
 use std::io::Cursor;
@@ -273,6 +274,27 @@ fn partition_queries_price_normalize_and_reject_through_the_server() {
 }
 
 #[test]
+fn admission_checks_memory_against_the_partition_slice() {
+    // Batch 128 fits the whole V100 but not a quarter slice of it, so
+    // admission must reject the sliced cell with the frame pricing gives,
+    // before it reaches the coalescer.
+    let line = r#"{"v":1,"id":"slice","kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1,"batch":128,"partition":"1of4"}"#;
+    let QueryV1::Cell(spec) = protocol::parse_request(line).expect("valid query").query else {
+        panic!("a cell query");
+    };
+    assert!(sweep::price_cell(&Ctx::new(), &CellSpec { partition: None, ..spec.clone() }).is_ok());
+    let err = sweep::price_cell(&Ctx::new(), &spec).expect_err("the slice runs out of memory");
+    assert!(err.is_oom(), "{err:?}");
+
+    let opts = ServeOptions { socket: sock("admission_slice"), ..ServeOptions::default() };
+    let (transcripts, stats) = serve_workload(&test_config(2), &opts, &[vec![line.to_string()]]);
+    let text = String::from_utf8(transcripts.into_iter().next().unwrap()).unwrap();
+    assert_eq!(text, protocol::error_frame("slice", &err.kind, &err.message));
+    assert_eq!(stats.coalesce_misses, 0, "an over-memory slice reached the coalescer");
+    assert_eq!(stats.error_responses, 1);
+}
+
+#[test]
 fn malformed_queries_get_typed_errors_and_the_server_survives() {
     let lines: Vec<String> = vec![
         "not json".into(),
@@ -305,7 +327,7 @@ fn malformed_queries_get_typed_errors_and_the_server_survives() {
 fn streamed_sweep_frames_carry_the_batch_csv_bytes() {
     // What `repro sweep` would write for this grid, computed in-process.
     let grid = sweep::fault_ttt();
-    let run = sweep::run_pooled(&Pool::with_workers(2), &Ctx::without_memo(), &grid, None);
+    let run = sweep::run_serial(&Ctx::without_memo(), &grid, None);
     let csv = sweep::to_csv(&run);
     let mut lines = csv.lines();
     let columns: Vec<&str> = lines.next().expect("header").split(',').collect();

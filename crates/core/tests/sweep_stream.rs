@@ -49,7 +49,7 @@ fn streamed_hundred_thousand_cells_match_in_memory_bytes() {
     assert!(summary.errors > 0, "prefix never hit the OOM wall");
     assert!(summary.errors < summary.cells, "every cell degraded");
 
-    let in_memory = sweep::to_csv(&sweep::run_pooled(&pool, &Ctx::new(), &spec, None));
+    let in_memory = sweep::to_csv(&sweep::run_serial(&Ctx::new(), &spec, None));
     let streamed = String::from_utf8(streamed).unwrap();
     assert_eq!(streamed, in_memory, "streamed bytes diverge from to_csv");
 

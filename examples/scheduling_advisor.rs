@@ -7,6 +7,7 @@
 
 use mlperf_analysis::scheduling::{lpt_schedule, naive_schedule, optimal_schedule};
 use mlperf_suite::experiments::figure4;
+use mlperf_suite::Ctx;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpus: u64 = std::env::args()
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("measuring the 7 MLPerf jobs at every width (simulated DSS 8440)...");
-    let jobs = figure4::measure_job_times()?;
+    let jobs = figure4::measure_job_times_ctx(&Ctx::new())?;
     for j in &jobs {
         let widths: Vec<String> = j
             .widths()

@@ -240,6 +240,35 @@ diff -u "$report_tmp/variance_a.txt" "$report_tmp/variance_b.txt" \
 cmp -s "$report_tmp/csv_healthy/variance_decomposition.csv" artifacts/variance_decomposition.csv \
     || { echo "variance_decomposition.csv drifted from the committed artifact" >&2; exit 1; }
 
+echo "== repro CLI: every named table, figure and extra prints =="
+# `repro --table/--figure/--extra` resolve their names through one
+# CLI-name -> experiment-id table. Every name `repro --list` advertises
+# must exit 0 with non-empty stdout, so a typo in that table cannot go
+# unseen; an unknown extra must exit 1.
+cargo run -q --release --offline -p mlperf-suite --bin repro -- --list > "$report_tmp/usage.txt"
+awk '/^ *tables:/ { for (i = 2; i <= NF; i++) if ($i ~ /^[0-9]+$/) print "--table", $i }
+     /^ *figures:/ { fig = 1; for (i = 2; i <= NF; i++) if ($i ~ /^[0-9]+$/) print "--figure", $i; next }
+     fig { print "--figure", $1; fig = 0 }
+     /^ *extras:/ { extra = 1; sub(/extras:/, "") }
+     /^ *cache:/ { extra = 0 }
+     extra { print "--extra", $1 }' "$report_tmp/usage.txt" > "$report_tmp/names.txt"
+[ "$(wc -l < "$report_tmp/names.txt")" -ge 19 ] \
+    || { echo "usage lists suspiciously few names:" >&2; cat "$report_tmp/names.txt" >&2; exit 1; }
+while read -r flag name; do
+    cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+        "$flag" "$name" > "$report_tmp/named.txt" \
+        || { echo "repro $flag $name failed" >&2; exit 1; }
+    [ -s "$report_tmp/named.txt" ] \
+        || { echo "repro $flag $name printed nothing" >&2; exit 1; }
+done < "$report_tmp/names.txt"
+set +e
+cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --extra no-such-extra >/dev/null 2>&1
+unknown_status=$?
+set -e
+[ "$unknown_status" -eq 1 ] \
+    || { echo "an unknown --extra must exit 1, got $unknown_status" >&2; exit 1; }
+
 echo "== fast-path parity: MLPERF_FASTPATH=off is byte-identical =="
 # The analytic fast path (DESIGN.md "Sweep scaling model") is an
 # optimization, never a semantic: with the switch off, every sweep CSV —

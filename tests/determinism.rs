@@ -4,7 +4,7 @@
 use mlperf_hw::systems::SystemId;
 use mlperf_sim::{train_on_first, RunSpec, Simulator};
 use mlperf_suite::experiments::{figure4, table4};
-use mlperf_suite::BenchmarkId;
+use mlperf_suite::{BenchmarkId, Ctx};
 
 #[test]
 fn identical_runs_produce_identical_reports() {
@@ -32,8 +32,8 @@ fn gpu_ordinal_choice_is_irrelevant_on_symmetric_topologies() {
 
 #[test]
 fn table_iv_is_reproducible() {
-    let a = table4::run().expect("table runs");
-    let b = table4::run().expect("table runs");
+    let a = table4::run_ctx(&Ctx::new()).expect("table runs");
+    let b = table4::run_ctx(&Ctx::new()).expect("table runs");
     for (ra, rb) in a.rows.iter().zip(&b.rows) {
         assert_eq!(ra.name(), rb.name());
         assert_eq!(ra.p100_minutes(), rb.p100_minutes());
@@ -45,8 +45,8 @@ fn table_iv_is_reproducible() {
 
 #[test]
 fn optimal_schedule_is_stable() {
-    let f1 = figure4::run().expect("figure runs");
-    let f2 = figure4::run().expect("figure runs");
+    let f1 = figure4::run_ctx(&Ctx::new()).expect("figure runs");
+    let f2 = figure4::run_ctx(&Ctx::new()).expect("figure runs");
     for (a, b) in f1.studies.iter().zip(&f2.studies) {
         assert_eq!(a.optimal.makespan, b.optimal.makespan);
         assert_eq!(a.optimal.placements.len(), b.optimal.placements.len());

@@ -4,13 +4,13 @@
 
 use mlperf_analysis::scaling::{classify, ScalingClass};
 use mlperf_suite::experiments::{figure3, figure5, table4};
-use mlperf_suite::BenchmarkId;
+use mlperf_suite::{BenchmarkId, Ctx};
 
 /// Table IV anchors: simulated single-GPU training times stay within 10 %
 /// of the published measurements they were calibrated to.
 #[test]
 fn table_iv_anchors_hold() {
-    let t = table4::run().expect("table runs");
+    let t = table4::run_ctx(&Ctx::new()).expect("table runs");
     for ((id, p100, v100, ..), row) in table4::PAPER_TABLE_IV.iter().zip(&t.rows) {
         assert_eq!(id.abbreviation(), row.name());
         let sim_v100 = row.v100_minutes(1).expect("anchor measured");
@@ -30,7 +30,7 @@ fn table_iv_anchors_hold() {
 /// the paper's (the derived quantities, not the calibrated ones).
 #[test]
 fn table_iv_scaling_factors_track_paper() {
-    let t = table4::run().expect("table runs");
+    let t = table4::run_ctx(&Ctx::new()).expect("table runs");
     for ((id, _, _, s2, s4, s8), row) in table4::PAPER_TABLE_IV.iter().zip(&t.rows) {
         for (n, paper) in [(2u64, s2), (4, s4), (8, s8)] {
             // Known deviation: the paper's XFMR 1-to-2 factor (1.42x) is
@@ -55,7 +55,7 @@ fn table_iv_scaling_factors_track_paper() {
 /// detection/translation are medium, NCF saturates.
 #[test]
 fn scaling_classes_match_narrative() {
-    let t = table4::run().expect("table runs");
+    let t = table4::run_ctx(&Ctx::new()).expect("table runs");
     let class = |name: &str| {
         classify(
             t.rows
@@ -76,7 +76,7 @@ fn scaling_classes_match_narrative() {
 /// the 8-10x band (Table IV).
 #[test]
 fn p_to_v_ordering_holds() {
-    let t = table4::run().expect("table runs");
+    let t = table4::run_ctx(&Ctx::new()).expect("table runs");
     let p2v = |name: &str| {
         t.rows
             .iter()
@@ -99,7 +99,7 @@ fn p_to_v_ordering_holds() {
 /// the heavy-weight detector sits at the bottom of the suite.
 #[test]
 fn amp_speedup_shape_holds() {
-    let f = figure3::run().expect("figure runs");
+    let f = figure3::run_ctx(&Ctx::new()).expect("figure runs");
     let by_id = |id: BenchmarkId| {
         f.speedups
             .iter()
@@ -118,7 +118,7 @@ fn amp_speedup_shape_holds() {
 /// NVLink benefit is much larger for translation than image classification.
 #[test]
 fn topology_hierarchy_holds() {
-    let f = figure5::run().expect("figure runs");
+    let f = figure5::run_ctx(&Ctx::new()).expect("figure runs");
     use mlperf_hw::SystemId;
     for row in &f.rows {
         let nvlink = row.on(SystemId::C4140K).min(row.on(SystemId::C4140M));

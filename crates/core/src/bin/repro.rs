@@ -28,7 +28,6 @@ fn usage() -> &'static str {
     "usage: repro [--table N | --figure N | --extra NAME | --csv DIR | --report FILE | --list]\n\
      \u{20}      repro sweep [--list | NAME... | --all] [--out DIR]   (long-form CSV per sweep)\n\
      \u{20}      repro serve [--socket PATH] [--max-active N] [--queue N] [--shard N]\n\
-     \u{20}                  [--read-timeout-ms N] [--write-timeout-ms N] [--max-frame BYTES]\n\
      \u{20}      repro query [--socket PATH]   (NDJSON requests on stdin, responses on stdout)\n\
      tables: 1 (insights) 2 (suites) 3 (systems) 4 (scaling) 5 (resources)\n\
      figures: 1 (PCA) 2 (roofline) 3 (mixed precision) 4 (scheduling) 5 (topology)\n\
@@ -91,30 +90,6 @@ fn run_serve(args: &[String], cfg: &Config) -> Result<ExitCode, String> {
                     .parse()
                     .map_err(|e| format!("--shard: {e}"))?;
                 opts.shard = n.max(1);
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .ok_or("--read-timeout-ms needs milliseconds (0 = none)")?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?;
-                opts.read_timeout_ms = Some(ms);
-            }
-            "--write-timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .ok_or("--write-timeout-ms needs milliseconds (0 = none)")?
-                    .parse()
-                    .map_err(|e| format!("--write-timeout-ms: {e}"))?;
-                opts.write_timeout_ms = Some(ms);
-            }
-            "--max-frame" => {
-                let bytes: usize = it
-                    .next()
-                    .ok_or("--max-frame needs bytes (0 = unbounded)")?
-                    .parse()
-                    .map_err(|e| format!("--max-frame: {e}"))?;
-                opts.max_frame = Some(bytes);
             }
             other => return Err(format!("unknown serve flag '{other}'; {}", usage())),
         }

@@ -126,28 +126,27 @@ pub struct Config {
     pub serve_max_frame: usize,
 }
 
-/// Strictly parse one unsigned knob: absent or blank means the default,
-/// anything else must parse or the typed error is recorded.
+/// Strictly parse one unsigned knob: absent or blank means unset
+/// (`None`), anything else must parse or the typed error is recorded.
 fn strict_unsigned(
     raw: Option<String>,
     name: &'static str,
-    default: u64,
     errors: &mut Vec<ConfigError>,
-) -> u64 {
-    let Some(raw) = raw else { return default };
+) -> Option<u64> {
+    let raw = raw?;
     let text = raw.trim();
     if text.is_empty() {
-        return default;
+        return None;
     }
     match text.parse::<u64>() {
-        Ok(n) => n,
+        Ok(n) => Some(n),
         Err(_) => {
             errors.push(ConfigError::BadKnob {
                 name,
                 value: raw,
                 expected: "a non-negative integer (no overflow)",
             });
-            default
+            None
         }
     }
 }
@@ -207,7 +206,6 @@ impl Config {
                 "off" | "0" | "false" | "no"
             )
         });
-        let step_budget = get(STEP_BUDGET_ENV).and_then(|v| v.trim().parse::<u64>().ok());
         let strict = get(STRICT_ENV).is_some_and(|v| v.trim() == "1");
         let retries = get(RETRIES_ENV)
             .and_then(|v| v.trim().parse::<u64>().ok())
@@ -217,6 +215,7 @@ impl Config {
             .filter(|n| (1..=MAX_RUNS).contains(n))
             .unwrap_or(1);
         let mut errors = Vec::new();
+        let step_budget = strict_unsigned(get(STEP_BUDGET_ENV), STEP_BUDGET_ENV, &mut errors);
         let partition = get(PARTITION_ENV).and_then(|raw| {
             let text = raw.trim();
             if text.is_empty() {
@@ -241,25 +240,15 @@ impl Config {
                 None
             }
         });
-        let serve_read_timeout_ms = strict_unsigned(
-            get(SERVE_READ_TIMEOUT_ENV),
-            SERVE_READ_TIMEOUT_ENV,
-            DEFAULT_READ_TIMEOUT_MS,
-            &mut errors,
-        );
-        let serve_write_timeout_ms = strict_unsigned(
-            get(SERVE_WRITE_TIMEOUT_ENV),
-            SERVE_WRITE_TIMEOUT_ENV,
-            DEFAULT_WRITE_TIMEOUT_MS,
-            &mut errors,
-        );
-        let serve_max_frame = strict_unsigned(
-            get(SERVE_MAX_FRAME_ENV),
-            SERVE_MAX_FRAME_ENV,
-            DEFAULT_MAX_FRAME as u64,
-            &mut errors,
-        )
-        .min(usize::MAX as u64) as usize;
+        let serve_read_timeout_ms =
+            strict_unsigned(get(SERVE_READ_TIMEOUT_ENV), SERVE_READ_TIMEOUT_ENV, &mut errors)
+                .unwrap_or(DEFAULT_READ_TIMEOUT_MS);
+        let serve_write_timeout_ms =
+            strict_unsigned(get(SERVE_WRITE_TIMEOUT_ENV), SERVE_WRITE_TIMEOUT_ENV, &mut errors)
+                .unwrap_or(DEFAULT_WRITE_TIMEOUT_MS);
+        let serve_max_frame =
+            strict_unsigned(get(SERVE_MAX_FRAME_ENV), SERVE_MAX_FRAME_ENV, &mut errors)
+                .map_or(DEFAULT_MAX_FRAME, |n| n.min(usize::MAX as u64) as usize);
         (
             Config {
                 jobs,
@@ -379,13 +368,8 @@ mod tests {
 
     #[test]
     fn malformed_values_fall_back() {
-        let cfg = with(&[
-            (JOBS_ENV, "0"),
-            (STEP_BUDGET_ENV, "lots"),
-            (RETRIES_ENV, "-1"),
-        ]);
+        let cfg = with(&[(JOBS_ENV, "0"), (RETRIES_ENV, "-1")]);
         assert!(cfg.jobs >= 1, "non-positive job count is ignored");
-        assert_eq!(cfg.step_budget, None);
         assert_eq!(cfg.retries, None);
     }
 
@@ -413,6 +397,13 @@ mod tests {
         // Overflow is a typed error, not a silent wrap.
         assert!(try_with(&[(SERVE_MAX_FRAME_ENV, "99999999999999999999999999")]).is_err());
         assert!(try_with(&[(SERVE_WRITE_TIMEOUT_ENV, "-5")]).is_err());
+        // A mistyped budget must not silently run unlimited.
+        let err = try_with(&[(STEP_BUDGET_ENV, "lots")]).unwrap_err();
+        assert!(matches!(
+            &err,
+            ConfigError::BadKnob { name, value, .. }
+                if *name == STEP_BUDGET_ENV && value == "lots"
+        ));
     }
 
     #[test]

@@ -95,20 +95,12 @@ impl From<SimError> for ExperimentError {
     fn from(e: SimError) -> Self {
         match e {
             SimError::NonFinite { context } => ExperimentError::NonFiniteOutput { context },
+            SimError::BudgetExceeded { used, budget } => {
+                ExperimentError::DeadlineExceeded { used, budget }
+            }
             other => ExperimentError::Sim(other),
         }
     }
-}
-
-/// The panic payload [`Ctx::charge`](super::Ctx::charge) throws when a
-/// cooperative step budget trips; the executor downcasts it back into
-/// [`ExperimentError::DeadlineExceeded`] at its unwind boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded {
-    /// Simulation requests charged, including the tripping one.
-    pub used: u64,
-    /// The configured budget.
-    pub budget: u64,
 }
 
 /// Extract a human-readable message from a panic payload (`&str` and

@@ -35,7 +35,7 @@ mod error;
 mod memo;
 mod pool;
 
-pub use error::{fnv1a64, BudgetExceeded, ExperimentError};
+pub use error::{fnv1a64, ExperimentError};
 pub(crate) use error::panic_message as panic_payload_message;
 pub use memo::ShardedCache;
 pub use pool::{Pool, JOBS_ENV};
@@ -57,11 +57,11 @@ use mlperf_sim::engine::{RunSpec, SimError, Simulator, StepReport};
 use mlperf_sim::training::{outcome_from_step, train, TrainingOutcome};
 use mlperf_sim::TrainingJob;
 use mlperf_testkit::rng::Rng;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -236,13 +236,6 @@ pub struct Ctx {
     artifacts: Mutex<HashMap<&'static str, Arc<Artifact>>>,
     uncached: AtomicU64,
     memoize: bool,
-    /// Armed per worker thread by the executor around each experiment
-    /// attempt; every simulation request charges one unit against it.
-    budgets: Mutex<HashMap<ThreadId, BudgetCell>>,
-    /// Sticky flag: set the first time any thread arms a budget, never
-    /// cleared. Lets [`Ctx::charge`] skip the budget lock entirely in
-    /// the common budget-free case (it runs once per priced sweep cell).
-    budget_armed: AtomicBool,
     /// Interned platform specs: building a [`SystemSpec`] walks the whole
     /// topology, which a million-cell sweep must not repeat per cell.
     systems: Mutex<HashMap<SystemId, Arc<SystemSpec>>>,
@@ -266,25 +259,35 @@ pub struct Ctx {
     runs: u32,
 }
 
-/// One armed step budget (see [`Ctx::charge`]).
-#[derive(Debug, Clone, Copy)]
-struct BudgetCell {
-    used: u64,
-    budget: u64,
+thread_local! {
+    /// The calling thread's step-budget meter `(used, budget)`: armed by
+    /// [`BudgetGuard`] around one executor attempt, charged by
+    /// [`Ctx::charge`], unarmed everywhere else.
+    static METER: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-/// RAII guard of [`Ctx::suspend_budget`]: re-arms the suspended budget
-/// cell (units charged included) when dropped, panic or not.
-pub(crate) struct BudgetSuspension<'a> {
-    ctx: &'a Ctx,
-    cell: Option<BudgetCell>,
+/// RAII arm of the calling thread's [`METER`] for one executor attempt;
+/// disarms it on drop, panic or not.
+struct BudgetGuard;
+
+impl BudgetGuard {
+    fn arm(budget: Option<u64>) -> BudgetGuard {
+        METER.set(budget.map(|budget| (0, budget)));
+        BudgetGuard
+    }
+
+    /// The verdict of a tripped meter, whatever the attempt returned.
+    fn tripped(&self) -> Option<ExperimentError> {
+        METER
+            .get()
+            .filter(|&(used, budget)| used > budget)
+            .map(|(used, budget)| ExperimentError::DeadlineExceeded { used, budget })
+    }
 }
 
-impl Drop for BudgetSuspension<'_> {
+impl Drop for BudgetGuard {
     fn drop(&mut self) {
-        if let Some(cell) = self.cell.take() {
-            lock(&self.ctx.budgets).insert(std::thread::current().id(), cell);
-        }
+        METER.set(None);
     }
 }
 
@@ -312,8 +315,6 @@ impl Ctx {
             artifacts: Mutex::new(HashMap::new()),
             uncached: AtomicU64::new(0),
             memoize: true,
-            budgets: Mutex::new(HashMap::new()),
-            budget_armed: AtomicBool::new(false),
             systems: Mutex::new(HashMap::new()),
             templates: Mutex::new(HashMap::new()),
             fastpath,
@@ -464,79 +465,33 @@ impl Ctx {
         Ok((step, outcome))
     }
 
-    /// Arm a cooperative step budget for the calling thread: subsequent
-    /// simulation requests from this thread charge against it until
-    /// [`Ctx::disarm_budget`]. `pub(crate)` for the serve layer, which
-    /// arms one budget per client connection.
-    pub(crate) fn arm_budget(&self, budget: u64) {
-        self.budget_armed.store(true, Ordering::Relaxed);
-        lock(&self.budgets).insert(
-            std::thread::current().id(),
-            BudgetCell { used: 0, budget },
-        );
-    }
-
-    /// Disarm the calling thread's budget, returning the units charged.
-    pub(crate) fn disarm_budget(&self) -> u64 {
-        lock(&self.budgets)
-            .remove(&std::thread::current().id())
-            .map_or(0, |c| c.used)
-    }
-
-    /// Re-limit the calling thread's armed budget, keeping the units
-    /// already charged (the serve layer's per-request `budget` override:
-    /// the client's spend so far stays on the meter). Arms a fresh budget
-    /// if none is active.
-    pub(crate) fn set_budget_limit(&self, budget: u64) {
-        self.budget_armed.store(true, Ordering::Relaxed);
-        lock(&self.budgets)
-            .entry(std::thread::current().id())
-            .and_modify(|c| c.budget = budget)
-            .or_insert(BudgetCell { used: 0, budget });
-    }
-
-    /// Suspend the calling thread's budget until the guard drops. The
-    /// serve layer charges a query's whole cost up front (one unit per
-    /// cell, `len()` units per sweep) on the connection thread, then
-    /// prices under this guard — so a cell priced inline (coalesce miss,
-    /// or a single-worker pool running sweep cells on the caller) cannot
-    /// double-charge the client, and the budget verdict stays a pure
-    /// function of the client's own query sequence at any worker count.
-    pub(crate) fn suspend_budget(&self) -> BudgetSuspension<'_> {
-        let cell = lock(&self.budgets).remove(&std::thread::current().id());
-        BudgetSuspension { ctx: self, cell }
-    }
-
-    /// Cooperative budget checkpoint: charge `n` simulation requests
-    /// against the calling thread's armed budget, if any. Budgets count
+    /// Cooperative budget checkpoint: charge one simulation request
+    /// against the calling thread's armed meter, if any. Budgets count
     /// requests — not wall-clock — so the verdict is a pure function of
     /// the experiment, identical for any worker count or cache state.
+    /// Unarmed, this is one thread-local read.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Throws a [`BudgetExceeded`] payload (via [`std::panic::panic_any`])
-    /// when the budget trips; the executor's unwind boundary downcasts it
-    /// into [`ExperimentError::DeadlineExceeded`].
-    pub fn charge(&self, n: u64) {
-        if !self.budget_armed.load(Ordering::Relaxed) {
-            return;
+    /// [`SimError::BudgetExceeded`] once the meter has tripped. The meter
+    /// is sticky: it stays at `budget + 1` and refuses every later
+    /// request before any pricing, so an experiment that swallows the
+    /// error cannot spend past its budget; the executor reads the verdict
+    /// off the meter whatever the experiment returns.
+    fn charge() -> Result<(), SimError> {
+        let Some((used, budget)) = METER.get() else {
+            return Ok(());
+        };
+        let used = used.saturating_add(1).min(budget.saturating_add(1));
+        METER.set(Some((used, budget)));
+        if used > budget {
+            return Err(SimError::BudgetExceeded { used, budget });
         }
-        let mut budgets = lock(&self.budgets);
-        if let Some(cell) = budgets.get_mut(&std::thread::current().id()) {
-            cell.used += n;
-            if cell.used > cell.budget {
-                let exceeded = BudgetExceeded {
-                    used: cell.used,
-                    budget: cell.budget,
-                };
-                drop(budgets);
-                std::panic::panic_any(exceeded);
-            }
-        }
+        Ok(())
     }
 
     fn step_for(&self, point: &TrainPoint, job: &TrainingJob) -> Result<StepReport, SimError> {
-        self.charge(1);
+        Ctx::charge()?;
         let system = self.system_spec(point.system);
         let simulate = || {
             let sim = Simulator::new(&system);
@@ -703,7 +658,7 @@ impl Ctx {
                 ))
             }
             WorkloadSpec::DeepBench(id) => {
-                self.charge(1);
+                Ctx::charge()?;
                 let compute = || workloads::run(spec, &self.system_spec(system), gpus);
                 if !self.memoize {
                     self.uncached.fetch_add(1, Ordering::Relaxed);
@@ -728,7 +683,7 @@ impl Ctx {
         job: &TrainingJob,
         gpus: u32,
     ) -> Result<TrainingOutcome, SimError> {
-        self.charge(1);
+        Ctx::charge()?;
         self.uncached.fetch_add(1, Ordering::Relaxed);
         let spec = self.system_spec(system);
         let sim = Simulator::new(&spec);
@@ -1242,17 +1197,16 @@ fn degraded_section(e: &dyn Experiment, err: &ExperimentError) -> String {
 }
 
 /// One isolated attempt at an experiment: chaos injection, the budget
-/// window, and the unwind boundary that converts panics and budget trips
-/// into typed errors.
+/// meter, and the unwind boundary that converts panics into typed
+/// errors. A tripped meter decides the verdict whatever the experiment
+/// returned — even if it swallowed the budget error or panicked after.
 fn attempt_experiment(
     e: &dyn Experiment,
     ctx: &Ctx,
     cfg: &ResilienceConfig,
     attempt: u32,
 ) -> Result<String, ExperimentError> {
-    if let Some(budget) = cfg.step_budget {
-        ctx.arm_budget(budget);
-    }
+    let meter = BudgetGuard::arm(cfg.step_budget);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         // The injection panics *inside* the unwind boundary so chaos runs
         // exercise exactly the conversion path a real panic would take.
@@ -1266,8 +1220,8 @@ fn attempt_experiment(
         }
         e.run(ctx)
     }));
-    if cfg.step_budget.is_some() {
-        ctx.disarm_budget();
+    if let Some(verdict) = meter.tripped() {
+        return Err(verdict);
     }
     match outcome {
         Ok(Ok(artifact)) => {
@@ -1276,18 +1230,9 @@ fn attempt_experiment(
             Ok(e.render(&artifact))
         }
         Ok(Err(err)) => Err(err),
-        Err(payload) => {
-            if let Some(b) = payload.downcast_ref::<BudgetExceeded>() {
-                Err(ExperimentError::DeadlineExceeded {
-                    used: b.used,
-                    budget: b.budget,
-                })
-            } else {
-                Err(ExperimentError::Panicked {
-                    message: panic_message(payload.as_ref()),
-                })
-            }
-        }
+        Err(payload) => Err(ExperimentError::Panicked {
+            message: panic_message(payload.as_ref()),
+        }),
     }
 }
 

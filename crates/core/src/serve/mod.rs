@@ -24,13 +24,14 @@
 //!   overflow gets a typed `busy` response instead of an unbounded pile
 //!   of blocked threads.
 //! * **Budgets** — `MLPERF_STEP_BUDGET` (or the per-request `budget`
-//!   override) arms a per-connection meter. Each query charges its whole
-//!   cost up front on the connection thread — one unit per cell, `len()`
-//!   units per sweep — and pricing then runs under
-//!   [`Ctx::suspend_budget`], so inline pricing can never double-charge
-//!   and the verdict is a pure function of the client's own query
-//!   sequence: invariant across `MLPERF_JOBS`, cache state, and whoever
-//!   else is hammering the server.
+//!   override, which re-limits the meter and keeps the spend so far)
+//!   arms a meter local to each connection's handler. Each query charges
+//!   its whole cost up front — one unit per cell, `len()` units per
+//!   sweep — before any pricing, and a trip is answered with a typed
+//!   `deadline-exceeded` frame. Pricing itself never touches the meter,
+//!   so the verdict is a pure function of the client's own query
+//!   sequence: invariant across `MLPERF_JOBS`, coalescing, cache state,
+//!   and whoever else is hammering the server.
 //! * **Degraded responses** — every failure is a typed error frame on
 //!   the PR-4 [`ExperimentError`]/`CellError` vocabulary; a poisoned
 //!   query unwinds into an `error` response at the per-request
@@ -54,9 +55,7 @@
 pub mod protocol;
 
 use crate::config::Config;
-use crate::runner::{
-    panic_payload_message, BudgetExceeded, Ctx, ExperimentError, Pool, ShardedCache,
-};
+use crate::runner::{panic_payload_message, Ctx, ExperimentError, Pool, ShardedCache};
 use crate::sweep::{self, registry, CellError, CellKind, CellSpec, DiskCache};
 use mlperf_sim::engine::Simulator;
 use mlperf_testkit::hash::fnv1a64;
@@ -110,15 +109,6 @@ pub struct ServeOptions {
     pub queue: usize,
     /// Sweep-streaming shard: cells per `rows` frame.
     pub shard: usize,
-    /// Read-deadline override in milliseconds (`None`: the config knob;
-    /// `Some(0)`: no deadline).
-    pub read_timeout_ms: Option<u64>,
-    /// Write-deadline override in milliseconds (`None`: the config knob;
-    /// `Some(0)`: no deadline).
-    pub write_timeout_ms: Option<u64>,
-    /// Request-frame size cap override in bytes (`None`: the config
-    /// knob; `Some(0)`: unbounded).
-    pub max_frame: Option<usize>,
 }
 
 impl Default for ServeOptions {
@@ -128,9 +118,6 @@ impl Default for ServeOptions {
             max_active: None,
             queue: DEFAULT_QUEUE,
             shard: DEFAULT_SHARD,
-            read_timeout_ms: None,
-            write_timeout_ms: None,
-            max_frame: None,
         }
     }
 }
@@ -285,9 +272,8 @@ impl Server {
         let listener = UnixListener::bind(&opts.socket)?;
         let pool = Pool::from_config(cfg);
         let max_active = opts.max_active.unwrap_or_else(|| pool.workers());
-        let read_timeout_ms = opts.read_timeout_ms.unwrap_or(cfg.serve_read_timeout_ms);
-        let write_timeout_ms = opts.write_timeout_ms.unwrap_or(cfg.serve_write_timeout_ms);
-        let max_frame = match opts.max_frame.unwrap_or(cfg.serve_max_frame) {
+        let deadline = |ms: u64| (ms > 0).then(|| Duration::from_millis(ms));
+        let max_frame = match cfg.serve_max_frame {
             0 => usize::MAX,
             n => n,
         };
@@ -301,8 +287,8 @@ impl Server {
             admission: Admission::new(max_active, opts.queue),
             default_budget: cfg.step_budget,
             shard: opts.shard.max(1),
-            read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms)),
-            write_timeout: (write_timeout_ms > 0).then(|| Duration::from_millis(write_timeout_ms)),
+            read_timeout: deadline(cfg.serve_read_timeout_ms),
+            write_timeout: deadline(cfg.serve_write_timeout_ms),
             max_frame,
             shutdown: AtomicBool::new(false),
             queries: AtomicU64::new(0),
@@ -357,10 +343,6 @@ impl Server {
                     Ok(stream) => {
                         scope.spawn(move || {
                             let _ = self.handle(stream);
-                            // One thread per connection: drop this
-                            // thread's budget meter so the map does not
-                            // grow with connection count.
-                            self.ctx.disarm_budget();
                         });
                     }
                     Err(e) => return Err(e),
@@ -407,6 +389,8 @@ impl Server {
         let mut reader =
             BoundedLineReader::new(stream.try_clone()?, self.max_frame, self.read_timeout);
         let mut writer = BufWriter::new(FrameWriter { inner: stream });
+        // This connection's step-budget meter `(used, budget)`.
+        let mut meter: Option<(u64, u64)> = None;
         loop {
             let line = match reader.next_line() {
                 Ok(Some(line)) => line,
@@ -449,7 +433,7 @@ impl Server {
             if line.trim().is_empty() {
                 continue;
             }
-            let answered = self.respond(&line, &mut writer).and_then(|action| {
+            let answered = self.respond(&line, &mut meter, &mut writer).and_then(|action| {
                 writer.flush()?;
                 Ok(action)
             });
@@ -482,11 +466,17 @@ impl Server {
         Ok(())
     }
 
-    /// Answer one request line. Everything below the admission gate runs
-    /// inside a catch-unwind boundary: a budget trip becomes a typed
-    /// `deadline-exceeded` frame, any other panic a `panicked` frame, and
-    /// the connection (and server) live on.
-    fn respond(&self, line: &str, out: &mut dyn Write) -> io::Result<Action> {
+    /// Answer one request line, charging cell and sweep queries against
+    /// the connection's `meter`. A budget trip is answered with a typed
+    /// `deadline-exceeded` frame. Everything below the admission gate
+    /// runs inside a catch-unwind boundary, so a bug surfaces as a
+    /// `panicked` frame and the connection (and server) live on.
+    fn respond(
+        &self,
+        line: &str,
+        meter: &mut Option<(u64, u64)>,
+        out: &mut dyn Write,
+    ) -> io::Result<Action> {
         let req = match protocol::parse_request(line) {
             Ok(req) => req,
             Err((id, msg)) => {
@@ -531,25 +521,31 @@ impl Server {
                     return Ok(Action::Continue);
                 };
                 if let Some(budget) = req.budget.or(self.default_budget) {
-                    self.ctx.set_budget_limit(budget);
+                    // Re-limit, keeping the connection's spend so far.
+                    *meter = Some((meter.map_or(0, |(used, _)| used), budget));
+                }
+                // The whole cost, up front and before any pricing, so the
+                // verdict never depends on coalescing, cache state or
+                // worker count. A trip still counts the units.
+                if let (Some((used, budget)), Some(units)) = (meter.as_mut(), cost(&req.query)) {
+                    *used += units;
+                    if *used > *budget {
+                        self.error_responses.fetch_add(1, Ordering::Relaxed);
+                        let e = ExperimentError::DeadlineExceeded { used: *used, budget: *budget };
+                        let frame = protocol::error_frame(&req.id, e.kind(), &e.to_string());
+                        out.write_all(frame.as_bytes())?;
+                        return Ok(Action::Continue);
+                    }
                 }
                 match catch_unwind(AssertUnwindSafe(|| self.execute(&req, out))) {
                     Ok(io_result) => io_result?,
                     Err(payload) => {
                         self.error_responses.fetch_add(1, Ordering::Relaxed);
-                        let frame = if let Some(b) = payload.downcast_ref::<BudgetExceeded>() {
-                            let e = ExperimentError::DeadlineExceeded {
-                                used: b.used,
-                                budget: b.budget,
-                            };
-                            protocol::error_frame(&req.id, e.kind(), &e.to_string())
-                        } else {
-                            protocol::error_frame(
-                                &req.id,
-                                "panicked",
-                                &panic_payload_message(payload.as_ref()),
-                            )
-                        };
+                        let frame = protocol::error_frame(
+                            &req.id,
+                            "panicked",
+                            &panic_payload_message(payload.as_ref()),
+                        );
                         out.write_all(frame.as_bytes())?;
                     }
                 }
@@ -567,9 +563,6 @@ impl Server {
     }
 
     fn execute_cell(&self, req: &Request, spec: &CellSpec, out: &mut dyn Write) -> io::Result<()> {
-        // The whole cost, up front, on the connection thread: the budget
-        // verdict must not depend on coalescing or cache state.
-        self.ctx.charge(1);
         // Cheap typed admission: the engine's preflight runs exactly the
         // validation + memory gate `execute` would run first, so
         // rejecting here produces the same error bytes the priced path
@@ -583,10 +576,6 @@ impl Server {
         }
         let key = fnv1a64(&req.canonical_bytes());
         let bytes = self.coalesce.get_or_compute(key, || {
-            // Pricing must not double-charge the client (the coalesce
-            // miss runs inline on this thread) and must not charge a
-            // *different* client whose identical query got here first.
-            let _quiet = self.ctx.suspend_budget();
             sweep::encode_outcome(&sweep::run_cell(&self.ctx, spec, self.cache.as_ref()).outcome)
         });
         let frame = match sweep::decode_outcome(spec.kind, sweep::effective_runs(&self.ctx, spec), &bytes) {
@@ -619,11 +608,6 @@ impl Server {
                 .as_bytes(),
             );
         };
-        // Whole sweep cost up front; the cells themselves then price
-        // under suspension (pool workers carry no meter; the one-worker
-        // inline path runs on this thread).
-        self.ctx.charge(spec.len() as u64);
-        let _quiet = self.ctx.suspend_budget();
         let mut framer = ShardFramer::new(out, &req.id, spec.name, spec.len(), self.shard);
         let summary = sweep::run_streamed(
             &self.pool,
@@ -653,6 +637,16 @@ impl Server {
             .preflight(&job, &ordinals)
             .map(|_| ())
             .map_err(CellError::from_sim)
+    }
+}
+
+/// A query's step-budget cost: one unit per cell, `len()` units per
+/// sweep. An unknown sweep name (answered as a bad request) is free.
+fn cost(query: &QueryV1) -> Option<u64> {
+    match query {
+        QueryV1::Cell(_) => Some(1),
+        QueryV1::Sweep(name) => registry().iter().find(|s| s.name == name).map(|s| s.len() as u64),
+        QueryV1::Ping | QueryV1::Shutdown => None,
     }
 }
 

@@ -290,6 +290,7 @@ impl CellError {
             SimError::BadGpuSet(_) => "bad-gpu-set",
             SimError::Topology(_) => "topology",
             SimError::Partition(_) => "bad-partition",
+            SimError::BudgetExceeded { .. } => "deadline-exceeded",
         };
         CellError {
             kind: kind.to_string(),

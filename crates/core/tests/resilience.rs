@@ -11,10 +11,10 @@
 use mlperf_hw::SystemId;
 use mlperf_sim::SimError;
 use mlperf_suite::runner::{
-    self, fnv1a64, Artifact, BudgetExceeded, ChaosSpec, Ctx, Experiment, ExperimentError, Pool,
-    ResilienceConfig, TrainPoint, DEFAULT_RETRY_SEED,
+    self, fnv1a64, Artifact, ChaosSpec, Ctx, Experiment, ExperimentError, Pool, ResilienceConfig,
+    TrainPoint, DEFAULT_RETRY_SEED,
 };
-use mlperf_suite::{csv_export, report_gen, BenchmarkId};
+use mlperf_suite::{csv_export, report_gen, sweep, BenchmarkId};
 use mlperf_testkit::chaos::{ChaosAction, ChaosPlan};
 use mlperf_testkit::prop::*;
 use mlperf_testkit::rng::Rng;
@@ -22,10 +22,13 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, Once};
 
+/// Panic-hook fires for anything but an injected chaos panic.
+static OTHER_PANICS: AtomicU32 = AtomicU32::new(0);
+
 /// Injected panics unwind through the executor's catch boundary by
 /// design; keep the default hook from spraying their backtraces over the
 /// test output while leaving every other panic (real assertion failures)
-/// untouched.
+/// untouched, and counted in [`OTHER_PANICS`].
 fn quiet_chaos_panics() {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
@@ -37,7 +40,8 @@ fn quiet_chaos_panics() {
                 .map(String::as_str)
                 .or_else(|| info.payload().downcast_ref::<&str>().copied())
                 .unwrap_or("");
-            if !msg.contains("chaos") && !info.payload().is::<BudgetExceeded>() {
+            if !msg.contains("chaos") {
+                OTHER_PANICS.fetch_add(1, Ordering::SeqCst);
                 prev(info);
             }
         }));
@@ -543,9 +547,30 @@ impl Experiment for SweepExp {
     }
 }
 
+/// Prices Figure 4's sweep through `sweep::run_serial`, which turns
+/// every `Ctx` error into an error row, and returns `Ok` regardless.
+struct SwallowingExp;
+
+impl Experiment for SwallowingExp {
+    fn id(&self) -> &'static str {
+        "syn-swallow"
+    }
+    fn title(&self) -> &'static str {
+        "sweep that swallows every error"
+    }
+    fn run(&self, ctx: &Ctx) -> Result<Artifact, ExperimentError> {
+        let _rows = sweep::run_serial(ctx, &sweep::figure4_scaling(), None);
+        Ok(Artifact::Table2)
+    }
+    fn render(&self, _artifact: &Artifact) -> String {
+        "swallow: ok\n".to_string()
+    }
+}
+
 #[test]
 fn step_budget_trips_deterministically_and_is_typed() {
     quiet_chaos_panics();
+    let panics_before = OTHER_PANICS.load(Ordering::SeqCst);
     let experiments: [&dyn Experiment; 1] = [&SweepExp];
     let tight = ResilienceConfig {
         step_budget: Some(3),
@@ -555,6 +580,11 @@ fn step_budget_trips_deterministically_and_is_typed() {
         runner::execute_resilient(&Pool::with_workers(2), &Ctx::new(), &experiments, cfg)
     };
     let (a, b) = (run(&tight), run(&tight));
+    assert_eq!(
+        OTHER_PANICS.load(Ordering::SeqCst),
+        panics_before,
+        "a budget trip is a value, not a panic"
+    );
     assert!(a.degraded());
     match &a.failures[0].error {
         ExperimentError::DeadlineExceeded { used, budget } => {
@@ -577,6 +607,17 @@ fn step_budget_trips_deterministically_and_is_typed() {
         ..ResilienceConfig::resilient()
     };
     assert!(!run(&generous).degraded(), "a generous budget must pass");
+
+    // An experiment that swallows the budget error and returns Ok still
+    // fails on the tripped meter's verdict, and is not retried.
+    let swallowing: [&dyn Experiment; 1] = [&SwallowingExp];
+    let run = runner::execute_resilient(&Pool::with_workers(2), &Ctx::new(), &swallowing, &tight);
+    assert!(run.degraded());
+    assert_eq!(
+        run.failures[0].error,
+        ExperimentError::DeadlineExceeded { used: 4, budget: 3 }
+    );
+    assert!(run.failures[0].retries.is_empty(), "a budget trip is never retried");
 }
 
 /// Always panics — the root cause for the strict-mode cascade test.

@@ -189,8 +189,11 @@ fn seeded_load_replays_byte_identical_and_coalesces() {
 fn per_connection_budgets_trip_deterministically() {
     // Four *distinct* cells, each charged one step against a two-step
     // budget: the third and fourth answers must be typed
-    // deadline-exceeded errors with the exact meter readings.
-    let lines: Vec<String> = [1u32, 2, 4, 8]
+    // deadline-exceeded errors with the exact meter readings. Then a
+    // `budget` of ten re-limits the meter but keeps the spend (a cell
+    // answers ok at 5 of 10), an unknown sweep is refused uncharged, and
+    // an 11-cell sweep is charged its whole length up front (16 of 10).
+    let mut lines: Vec<String> = [1u32, 2, 4, 8]
         .iter()
         .map(|gpus| {
             format!(
@@ -198,6 +201,11 @@ fn per_connection_budgets_trip_deterministically() {
             )
         })
         .collect();
+    lines.extend([
+        r#"{"v":1,"id":"b10","kind":"cell","workload":"MLPf_NCF_Py","system":"DSS_8440","gpus":1,"budget":10}"#.to_string(),
+        r#"{"v":1,"id":"nope","kind":"sweep","sweep":"no_such_sweep","budget":10}"#.to_string(),
+        r#"{"v":1,"id":"wall","kind":"sweep","sweep":"batch_wall","budget":10}"#.to_string(),
+    ]);
     let run = |name: &str| {
         let opts = ServeOptions { socket: sock(name), ..ServeOptions::default() };
         let (transcripts, _) = serve_workload(&test_config(2), &opts, std::slice::from_ref(&lines));
@@ -205,7 +213,7 @@ fn per_connection_budgets_trip_deterministically() {
     };
     let text = run("budget_a");
     let frames: Vec<&str> = text.lines().collect();
-    assert_eq!(frames.len(), 4, "{text}");
+    assert_eq!(frames.len(), 7, "{text}");
     assert!(frames[0].contains("\"status\":\"ok\""), "{text}");
     assert!(frames[1].contains("\"status\":\"ok\""), "{text}");
     assert_eq!(
@@ -215,6 +223,15 @@ fn per_connection_budgets_trip_deterministically() {
     assert_eq!(
         frames[3],
         protocol::error_frame("b8", "deadline-exceeded", "step budget exceeded: 4 of 2 simulation requests").trim_end(),
+    );
+    assert!(frames[4].contains(r#""id":"b10","status":"ok""#), "{text}");
+    assert!(
+        frames[5].contains(r#""id":"nope","status":"error","kind":"bad-request""#),
+        "{text}"
+    );
+    assert_eq!(
+        frames[6],
+        protocol::error_frame("wall", "deadline-exceeded", "step budget exceeded: 16 of 10 simulation requests").trim_end(),
     );
     assert_eq!(text, run("budget_b"), "budget verdicts must replay");
 

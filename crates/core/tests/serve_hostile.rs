@@ -126,12 +126,12 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
     for jobs in [1usize, 4] {
         let opts = ServeOptions {
             socket: sock(&format!("oversize_j{jobs}")),
-            max_frame: Some(128),
             ..ServeOptions::default()
         };
+        let cfg = Config { serve_max_frame: 128, ..test_config(jobs) };
         let expected =
             protocol::error_frame("-", protocol::FRAME_TOO_LARGE, "request frame exceeds 128 bytes");
-        let (frames, stats) = with_server(&opts, &test_config(jobs), |socket| {
+        let (frames, stats) = with_server(&opts, &cfg, |socket| {
             // A terminated oversized line, and an unterminated flood (the
             // limit must trip on buffered bytes without waiting for a
             // newline that may never come).
@@ -156,10 +156,9 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
         // a fence below it (the bad-request answer proves it was parsed).
         let opts = ServeOptions {
             socket: sock(&format!("exact_j{jobs}")),
-            max_frame: Some(128),
             ..ServeOptions::default()
         };
-        let ((), stats) = with_server(&opts, &test_config(jobs), |socket| {
+        let ((), stats) = with_server(&opts, &cfg, |socket| {
             let mut s = connect(socket);
             let mut line = vec![b'y'; 127];
             line.push(b'\n');
@@ -194,12 +193,9 @@ fn half_written_requests_are_dropped_without_a_response() {
 
 #[test]
 fn slow_loris_senders_are_reaped_at_the_frame_deadline() {
-    let opts = ServeOptions {
-        socket: sock("loris"),
-        read_timeout_ms: Some(300),
-        ..ServeOptions::default()
-    };
-    let ((), stats) = with_server(&opts, &test_config(2), |socket| {
+    let opts = ServeOptions { socket: sock("loris"), ..ServeOptions::default() };
+    let cfg = Config { serve_read_timeout_ms: 300, ..test_config(2) };
+    let ((), stats) = with_server(&opts, &cfg, |socket| {
         // A mute connection: never sends a byte.
         let mut mute = connect(socket);
         assert!(read_to_eof(&mut mute).is_empty(), "mute client got a response");
@@ -234,12 +230,9 @@ fn slow_loris_senders_are_reaped_at_the_frame_deadline() {
 
 #[test]
 fn stalled_readers_are_reaped_at_the_write_deadline() {
-    let opts = ServeOptions {
-        socket: sock("stalled_reader"),
-        write_timeout_ms: Some(300),
-        ..ServeOptions::default()
-    };
-    let ((), stats) = with_server(&opts, &test_config(2), |socket| {
+    let opts = ServeOptions { socket: sock("stalled_reader"), ..ServeOptions::default() };
+    let cfg = Config { serve_write_timeout_ms: 300, ..test_config(2) };
+    let ((), stats) = with_server(&opts, &cfg, |socket| {
         let mut s = connect(socket);
         // Demand far more response bytes than a socket buffer holds and
         // never read them: the server's writes must hit the deadline

@@ -59,6 +59,15 @@ pub enum SimError {
         /// Human-readable description of the offending point.
         context: String,
     },
+    /// The caller's cooperative step budget refused the request before
+    /// any pricing: `used` requests charged (the refused one included)
+    /// against `budget`.
+    BudgetExceeded {
+        /// Requests charged, including the refused one.
+        used: u64,
+        /// The configured budget.
+        budget: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -75,6 +84,9 @@ impl fmt::Display for SimError {
             SimError::Partition(e) => write!(f, "bad partition: {e}"),
             SimError::NonFinite { context } => {
                 write!(f, "non-finite output: {context}")
+            }
+            SimError::BudgetExceeded { used, budget } => {
+                write!(f, "step budget exceeded: {used} of {budget} simulation requests")
             }
         }
     }

@@ -216,6 +216,35 @@ set -e
 [ ! -s "$report_tmp/strict.md" ] \
     || { echo "strict mode must not write a degraded report" >&2; exit 1; }
 
+echo "== budget verdicts: a tripped step budget is a typed row, never a panic =="
+# A budget trip is a value (DESIGN.md "Executor failure model"): the
+# report degrades (exit 2) with one appendix row per tripped experiment,
+# and nothing unwinds, so stderr carries no panic message. A mistyped
+# budget is a typed knob error at startup, never an unlimited run.
+set +e
+MLPERF_STEP_BUDGET=3 MLPERF_CACHE=off cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --report "$report_tmp/budget.md" >/dev/null 2>"$report_tmp/budget.log"
+budget_status=$?
+set -e
+[ "$budget_status" -eq 2 ] \
+    || { echo "a budget-tripped report must exit 2 (degraded), got $budget_status" >&2; exit 1; }
+budget_rows="$(grep -c 'step budget exceeded: 4 of 3' "$report_tmp/budget.md" || true)"
+[ "$budget_rows" -eq 13 ] \
+    || { echo "expected 13 'step budget exceeded: 4 of 3' appendix rows, got $budget_rows" >&2; exit 1; }
+if grep -q 'panicked at' "$report_tmp/budget.log"; then
+    echo "a budget trip printed a panic:" >&2; cat "$report_tmp/budget.log" >&2; exit 1
+fi
+set +e
+MLPERF_STEP_BUDGET=lots cargo run -q --release --offline -p mlperf-suite --bin repro -- \
+    --list >/dev/null 2>"$report_tmp/budget_bad.log"
+bad_budget_status=$?
+set -e
+[ "$bad_budget_status" -eq 1 ] \
+    || { echo "a malformed MLPERF_STEP_BUDGET must fail fast (exit 1), got $bad_budget_status" >&2; exit 1; }
+grep -q 'MLPERF_STEP_BUDGET="lots": expected a non-negative integer' "$report_tmp/budget_bad.log" \
+    || { echo "malformed-budget error is not the typed knob error" >&2; \
+         cat "$report_tmp/budget_bad.log" >&2; exit 1; }
+
 echo "== fault replay smoke: fixed seed, byte-identical twice =="
 # Two fresh processes replay the seeded fault study; the rendered trace
 # fingerprint and every digit must match byte for byte.

@@ -1,19 +1,15 @@
 //! Benchmark harness for the MLPerf-demystified reproduction.
 //!
-//! The Criterion targets under `benches/` regenerate every table and figure
-//! of the paper and time the machinery that produces them:
+//! Every target under `benches/` is one that `scripts/ci.sh` runs:
 //!
-//! * `tables` — Tables I-V;
-//! * `figures` — Figures 1-5;
-//! * `ablations` — design-choice studies DESIGN.md calls out (all-reduce
-//!   algorithm, comm/compute overlap, PCIe lane width, scheduler policy);
-//! * `substrate` — micro-benchmarks of the underlying machinery (model
-//!   builders, the engine step, PCA, the schedule search);
-//! * `sweep` / `des` — snapshot benches (see [`snapshot`]) pinning the
-//!   million-cell sweep engine and the DES event queue to committed
-//!   `BENCH_sweep.json` / `BENCH_des.json` baselines.
+//! * `executor` — what the memoized DAG scheduler buys on the full-report
+//!   path, plus the micro-costs it adds;
+//! * `sweep` / `des` / `serve` — snapshot benches (see [`snapshot`])
+//!   pinning the million-cell sweep engine, the DES event queue and the
+//!   query server to committed `BENCH_sweep.json` / `BENCH_des.json` /
+//!   `BENCH_serve.json` baselines.
 //!
-//! The `repro` binary in `mlperf-suite` prints the regenerated artifacts;
-//! these targets measure them.
+//! The `repro` binary in `mlperf-suite` prints the regenerated tables and
+//! figures; `perfbench/` times them end to end.
 
 pub mod snapshot;

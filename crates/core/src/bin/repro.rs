@@ -279,8 +279,8 @@ fn exit_status(execution: &mlperf_suite::runner::Execution) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Every knob is resolved here, once, and strictly: a typo'd
-    // MLPERF_IO_CHAOS or serve knob aborts before any output is written,
+    // Every knob is resolved here, once, and strictly: a typo'd or
+    // out-of-range MLPERF_* value aborts before any output is written,
     // instead of silently running with a default that would make the
     // configured scenario vacuous.
     let mut cfg = match Config::try_from_env() {

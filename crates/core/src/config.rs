@@ -11,6 +11,13 @@
 //! splits its view of its own knobs mid-flight. [`Config::default`] is
 //! the all-unset resolution and never reads the environment.
 //!
+//! Every knob parses strictly and by one rule per type: absent or blank
+//! is the default, integers must parse and lie in the knob's range, and
+//! booleans (`MLPERF_STRICT`, `MLPERF_CACHE`, `MLPERF_FASTPATH`) accept
+//! only `1`/`0`, `on`/`off`, `true`/`false` or `yes`/`no`. Anything else
+//! is a [`ConfigError`] naming the knob, so `repro` exits 1 before it
+//! writes anything.
+//!
 //! Parsing is pure ([`Config::try_resolve`] takes the lookup as a
 //! closure), which is what the unit tests drive — tests must not mutate
 //! the process environment, because the suite runs multi-threaded.
@@ -28,6 +35,7 @@ use crate::sweep::MAX_RUNS;
 use mlperf_hw::PartitionSpec;
 use mlperf_testkit::iochaos::{IoChaosParseError, IoChaosSpec};
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
 /// Why a knob was rejected by [`Config::try_resolve`]. A typo'd knob
@@ -77,21 +85,21 @@ pub struct Config {
     /// Worker-thread count (`MLPERF_JOBS`, else `available_parallelism`).
     pub jobs: usize,
     /// Whether the persistent result cache is enabled (`MLPERF_CACHE` not
-    /// `off`/`0`, and no chaos injection active — injected failures must
+    /// false, and no chaos injection active — injected failures must
     /// never be masked by warm entries).
     pub cache_enabled: bool,
     /// Persistent-cache directory (`MLPERF_CACHE_DIR`, else
     /// `artifacts/cache`).
     pub cache_dir: PathBuf,
     /// Whether the engine's analytic fast path may be attempted
-    /// (`MLPERF_FASTPATH` not `off`/`0`/`false`/`no`). Output bytes are
+    /// (`MLPERF_FASTPATH` not false). Output bytes are
     /// identical either way; this only trades throughput.
     pub fastpath: bool,
     /// Per-experiment (and, for the server, per-client) simulation-request
     /// budget (`MLPERF_STEP_BUDGET`). Counted in requests, never
     /// wall-clock, so verdicts are deterministic.
     pub step_budget: Option<u64>,
-    /// Fail-fast mode (`MLPERF_STRICT=1`).
+    /// Fail-fast mode (`MLPERF_STRICT` true).
     pub strict: bool,
     /// Retry-count override for transient failures (`MLPERF_RETRIES`);
     /// ignored under strict mode, which forces zero retries.
@@ -99,9 +107,9 @@ pub struct Config {
     /// Deterministic chaos injection (`MLPERF_CHAOS`,
     /// `MLPERF_CHAOS_ATTEMPTS`), if configured.
     pub chaos: Option<ChaosSpec>,
-    /// Seeded runs per Training cell (`MLPERF_RUNS`, clamped to
-    /// 1..=[`MAX_RUNS`]; default 1 = point pricing with no replication
-    /// columns, byte-identical to the pre-replication suite).
+    /// Seeded runs per Training cell (`MLPERF_RUNS`, in 1..=[`MAX_RUNS`];
+    /// default 1 = point pricing with no replication columns,
+    /// byte-identical to the pre-replication suite).
     pub runs: u32,
     /// Fractional-device partition applied to the base cell of every
     /// `repro sweep` run (`MLPERF_PARTITION`, e.g. `1of4x3`; `full` and
@@ -126,28 +134,57 @@ pub struct Config {
     pub serve_max_frame: usize,
 }
 
-/// Strictly parse one unsigned knob: absent or blank means unset
-/// (`None`), anything else must parse or the typed error is recorded.
-fn strict_unsigned(
-    raw: Option<String>,
+// What each unsigned knob's range expects, for the error message.
+const UNSIGNED: &str = "a non-negative integer (no overflow)";
+const POSITIVE: &str = "a positive integer (no overflow)";
+const UNSIGNED_32: &str = "an integer in 0..=4294967295";
+const RUN_COUNT: &str = "an integer in 1..=512";
+
+/// Strictly parse one unsigned knob that must lie in `range`: absent or
+/// blank means unset (`None`); anything else must parse and fit, or it is
+/// a typed error naming the knob.
+fn unsigned_in(
+    get: &impl Fn(&str) -> Option<String>,
     name: &'static str,
-    errors: &mut Vec<ConfigError>,
-) -> Option<u64> {
-    let raw = raw?;
+    range: RangeInclusive<u64>,
+    expected: &'static str,
+) -> Result<Option<u64>, ConfigError> {
+    let Some(raw) = get(name) else {
+        return Ok(None);
+    };
     let text = raw.trim();
     if text.is_empty() {
-        return None;
+        return Ok(None);
     }
     match text.parse::<u64>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            errors.push(ConfigError::BadKnob {
-                name,
-                value: raw,
-                expected: "a non-negative integer (no overflow)",
-            });
-            None
-        }
+        Ok(n) if range.contains(&n) => Ok(Some(n)),
+        _ => Err(ConfigError::BadKnob {
+            name,
+            value: raw,
+            expected,
+        }),
+    }
+}
+
+/// Strictly parse one boolean knob: absent or blank means unset (`None`);
+/// `1`/`on`/`true`/`yes` and `0`/`off`/`false`/`no` (any case) are the
+/// only values, and anything else is a typed error naming the knob.
+fn strict_bool(
+    get: &impl Fn(&str) -> Option<String>,
+    name: &'static str,
+) -> Result<Option<bool>, ConfigError> {
+    let Some(raw) = get(name) else {
+        return Ok(None);
+    };
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "" => Ok(None),
+        "1" | "on" | "true" | "yes" => Ok(Some(true)),
+        "0" | "off" | "false" | "no" => Ok(Some(false)),
+        _ => Err(ConfigError::BadKnob {
+            name,
+            value: raw,
+            expected: "a boolean: 1/0, on/off, true/false or yes/no",
+        }),
     }
 }
 
@@ -157,117 +194,85 @@ impl Config {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] among the strictly parsed knobs.
+    /// Returns the first [`ConfigError`] among the knobs.
     pub fn try_from_env() -> Result<Config, ConfigError> {
         Config::try_resolve(|name| std::env::var(name).ok())
     }
 
     /// Resolve every knob through `get` (the pure core of
     /// [`Config::try_from_env`]; tests inject a map instead of mutating
-    /// the process environment). The first malformed strictly-parsed knob
-    /// (`MLPERF_PARTITION`, `MLPERF_IO_CHAOS`, the serve deadline/frame
-    /// knobs) is returned as a typed error; the legacy knobs
-    /// (`MLPERF_JOBS`, `MLPERF_RUNS`, `MLPERF_RETRIES`, …) keep their
-    /// documented fallbacks to the default.
+    /// the process environment). Every knob parses strictly: absent or
+    /// blank means the default, and a malformed or out-of-range value is
+    /// a typed error naming the knob — never a silent fallback.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] among the strictly parsed knobs.
+    /// Returns the first [`ConfigError`] among the knobs.
     pub fn try_resolve(get: impl Fn(&str) -> Option<String>) -> Result<Config, ConfigError> {
-        let (config, mut errors) = Config::resolve_inner(get);
-        match errors.is_empty() {
-            true => Ok(config),
-            false => Err(errors.remove(0)),
-        }
-    }
-
-    fn resolve_inner(get: impl Fn(&str) -> Option<String>) -> (Config, Vec<ConfigError>) {
-        let jobs = get(JOBS_ENV)
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let jobs = unsigned_in(&get, JOBS_ENV, 1..=usize::MAX as u64, POSITIVE)?.map_or_else(
+            || std::thread::available_parallelism().map_or(1, |n| n.get()),
+            |n| n as usize,
+        );
+        let u32_max = u64::from(u32::MAX);
+        let attempts = unsigned_in(&get, CHAOS_ATTEMPTS_ENV, 0..=u32_max, UNSIGNED_32)?;
         let chaos = get(CHAOS_ENV).and_then(|target| {
             let target = target.trim().to_string();
-            if target.is_empty() {
-                return None;
-            }
-            let attempts = get(CHAOS_ATTEMPTS_ENV)
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map_or(u32::MAX, |n| n.min(u64::from(u32::MAX)) as u32);
-            Some(ChaosSpec { target, attempts })
+            (!target.is_empty()).then(|| ChaosSpec {
+                target,
+                attempts: attempts.map_or(u32::MAX, |n| n as u32),
+            })
         });
-        let cache_enabled = !get(CACHE_ENV).is_some_and(|v| matches!(v.trim(), "off" | "0"))
-            && chaos.is_none();
-        let cache_dir = get(CACHE_DIR_ENV)
-            .map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
-        let fastpath = !get(FASTPATH_ENV).is_some_and(|v| {
-            matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            )
-        });
-        let strict = get(STRICT_ENV).is_some_and(|v| v.trim() == "1");
-        let retries = get(RETRIES_ENV)
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(|n| n.min(u64::from(u32::MAX)) as u32);
-        let runs = get(RUNS_ENV)
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|n| (1..=MAX_RUNS).contains(n))
-            .unwrap_or(1);
-        let mut errors = Vec::new();
-        let step_budget = strict_unsigned(get(STEP_BUDGET_ENV), STEP_BUDGET_ENV, &mut errors);
-        let partition = get(PARTITION_ENV).and_then(|raw| {
-            let text = raw.trim();
-            if text.is_empty() {
-                return None;
-            }
-            match PartitionSpec::parse(text) {
+        let cache_enabled = strict_bool(&get, CACHE_ENV)?.unwrap_or(true) && chaos.is_none();
+        let cache_dir =
+            get(CACHE_DIR_ENV).map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
+        let fastpath = strict_bool(&get, FASTPATH_ENV)?.unwrap_or(true);
+        let strict = strict_bool(&get, STRICT_ENV)?.unwrap_or(false);
+        let retries = unsigned_in(&get, RETRIES_ENV, 0..=u32_max, UNSIGNED_32)?.map(|n| n as u32);
+        let runs = unsigned_in(&get, RUNS_ENV, 1..=u64::from(MAX_RUNS), RUN_COUNT)?
+            .map_or(1, |n| n as u32);
+        let step_budget = unsigned_in(&get, STEP_BUDGET_ENV, 0..=u64::MAX, UNSIGNED)?;
+        let partition = match get(PARTITION_ENV) {
+            Some(raw) if !raw.trim().is_empty() => match PartitionSpec::parse(raw.trim()) {
                 Ok(p) => p,
                 Err(_) => {
-                    errors.push(ConfigError::BadKnob {
+                    return Err(ConfigError::BadKnob {
                         name: PARTITION_ENV,
                         value: raw,
                         expected: "a partition token: 'full', '1of{2|4|7}', or '1of{k}x{tenants}'",
-                    });
-                    None
+                    })
                 }
-            }
-        });
-        let io_chaos = get(IO_CHAOS_ENV).and_then(|text| match IoChaosSpec::parse(&text) {
-            Ok(spec) => spec,
-            Err(error) => {
-                errors.push(ConfigError::BadIoChaos { value: text, error });
-                None
-            }
-        });
+            },
+            _ => None,
+        };
+        let io_chaos = match get(IO_CHAOS_ENV) {
+            Some(text) => IoChaosSpec::parse(&text)
+                .map_err(|error| ConfigError::BadIoChaos { value: text, error })?,
+            None => None,
+        };
         let serve_read_timeout_ms =
-            strict_unsigned(get(SERVE_READ_TIMEOUT_ENV), SERVE_READ_TIMEOUT_ENV, &mut errors)
+            unsigned_in(&get, SERVE_READ_TIMEOUT_ENV, 0..=u64::MAX, UNSIGNED)?
                 .unwrap_or(DEFAULT_READ_TIMEOUT_MS);
         let serve_write_timeout_ms =
-            strict_unsigned(get(SERVE_WRITE_TIMEOUT_ENV), SERVE_WRITE_TIMEOUT_ENV, &mut errors)
+            unsigned_in(&get, SERVE_WRITE_TIMEOUT_ENV, 0..=u64::MAX, UNSIGNED)?
                 .unwrap_or(DEFAULT_WRITE_TIMEOUT_MS);
-        let serve_max_frame =
-            strict_unsigned(get(SERVE_MAX_FRAME_ENV), SERVE_MAX_FRAME_ENV, &mut errors)
-                .map_or(DEFAULT_MAX_FRAME, |n| n.min(usize::MAX as u64) as usize);
-        (
-            Config {
-                jobs,
-                cache_enabled,
-                cache_dir,
-                fastpath,
-                step_budget,
-                strict,
-                retries,
-                chaos,
-                runs,
-                partition,
-                io_chaos,
-                serve_read_timeout_ms,
-                serve_write_timeout_ms,
-                serve_max_frame,
-            },
-            errors,
-        )
+        let serve_max_frame = unsigned_in(&get, SERVE_MAX_FRAME_ENV, 0..=u64::MAX, UNSIGNED)?
+            .map_or(DEFAULT_MAX_FRAME, |n| n.min(usize::MAX as u64) as usize);
+        Ok(Config {
+            jobs,
+            cache_enabled,
+            cache_dir,
+            fastpath,
+            step_budget,
+            strict,
+            retries,
+            chaos,
+            runs,
+            partition,
+            io_chaos,
+            serve_read_timeout_ms,
+            serve_write_timeout_ms,
+            serve_max_frame,
+        })
     }
 }
 
@@ -366,11 +371,92 @@ mod tests {
         assert!(with(&[(CHAOS_ENV, "  ")]).chaos.is_none());
     }
 
+    /// `knob=value` must be a typed error naming the knob and carrying
+    /// the rejected text.
+    fn rejects(knob: &'static str, value: &str) {
+        match try_with(&[(knob, value)]) {
+            Err(ConfigError::BadKnob { name, value: v, .. }) => {
+                assert_eq!((name, v.as_str()), (knob, value));
+            }
+            other => panic!("{knob}={value:?} must be rejected, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn malformed_values_fall_back() {
-        let cfg = with(&[(JOBS_ENV, "0"), (RETRIES_ENV, "-1")]);
-        assert!(cfg.jobs >= 1, "non-positive job count is ignored");
-        assert_eq!(cfg.retries, None);
+    fn malformed_values_are_typed_errors() {
+        assert_eq!(with(&[(JOBS_ENV, " 7 ")]).jobs, 7);
+        for bad in ["0", "-1", "1.5", "many", "99999999999999999999999"] {
+            rejects(JOBS_ENV, bad);
+        }
+        let err = try_with(&[(JOBS_ENV, "0")]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "MLPERF_JOBS=\"0\": expected a positive integer (no overflow)"
+        );
+    }
+
+    #[test]
+    fn retries_and_chaos_attempts_fit_in_32_bits() {
+        assert_eq!(with(&[(RETRIES_ENV, "0")]).retries, Some(0));
+        assert_eq!(with(&[(RETRIES_ENV, "4294967295")]).retries, Some(u32::MAX));
+        let attempts = |pairs: &[(&str, &str)]| with(pairs).chaos.expect("chaos set").attempts;
+        assert_eq!(attempts(&[(CHAOS_ENV, "figure3")]), u32::MAX, "unset: every attempt");
+        assert_eq!(attempts(&[(CHAOS_ENV, "figure3"), (CHAOS_ATTEMPTS_ENV, "0")]), 0);
+        for bad in ["-1", "4294967296", "2x"] {
+            rejects(RETRIES_ENV, bad);
+            rejects(CHAOS_ATTEMPTS_ENV, bad);
+        }
+    }
+
+    #[test]
+    fn boolean_knobs_share_one_rule() {
+        for knob in [STRICT_ENV, CACHE_ENV, FASTPATH_ENV] {
+            let read = |value: &str| {
+                let cfg = with(&[(knob, value)]);
+                match knob {
+                    STRICT_ENV => cfg.strict,
+                    CACHE_ENV => cfg.cache_enabled,
+                    _ => cfg.fastpath,
+                }
+            };
+            for on in ["1", "on", "true", "yes", "TRUE", " Yes "] {
+                assert!(read(on), "{knob}={on:?}");
+            }
+            for off in ["0", "off", "false", "no", "OFF", "No\t"] {
+                assert!(!read(off), "{knob}={off:?}");
+            }
+            for bad in ["2", "enabled", "tru", "y", "-"] {
+                rejects(knob, bad);
+            }
+        }
+    }
+
+    /// Every `MLPERF_*` value `scripts/ci.sh` sets parses, except the two
+    /// it sets to prove that a malformed knob fails fast.
+    #[test]
+    fn every_value_ci_sets_parses() {
+        const CI: &str = include_str!("../../../scripts/ci.sh");
+        let mut seen = 0;
+        for line in CI.lines().filter(|l| !l.trim_start().starts_with('#')) {
+            for word in line.split_whitespace() {
+                let Some((name, value)) = word.split_once('=') else {
+                    continue;
+                };
+                if !name.starts_with("MLPERF_") || value.contains('$') {
+                    continue;
+                }
+                let value = value.trim_matches('"');
+                let parsed = try_with(&[(name, value)]);
+                match (name, value) {
+                    (STEP_BUDGET_ENV, "lots") | (PARTITION_ENV, "half") => {
+                        assert!(parsed.is_err(), "{name}={value} must fail");
+                    }
+                    _ => assert!(parsed.is_ok(), "ci.sh sets {name}={value}: {parsed:?}"),
+                }
+                seen += 1;
+            }
+        }
+        assert!(seen >= 40, "found only {seen} knob values in ci.sh");
     }
 
     #[test]
@@ -412,11 +498,20 @@ mod tests {
             (IO_CHAOS_ENV, ""),
             (SERVE_READ_TIMEOUT_ENV, "   "),
             (SERVE_MAX_FRAME_ENV, "\t"),
+            (JOBS_ENV, " "),
+            (RUNS_ENV, ""),
+            (RETRIES_ENV, " "),
+            (STRICT_ENV, " "),
+            (CACHE_ENV, ""),
+            (FASTPATH_ENV, "\t"),
         ])
         .expect("blank knobs are unset, not errors");
         assert!(cfg.io_chaos.is_none());
         assert_eq!(cfg.serve_read_timeout_ms, DEFAULT_READ_TIMEOUT_MS);
         assert_eq!(cfg.serve_max_frame, DEFAULT_MAX_FRAME);
+        assert!(cfg.jobs >= 1);
+        assert_eq!((cfg.runs, cfg.retries), (1, None));
+        assert!(!cfg.strict && cfg.cache_enabled && cfg.fastpath);
         // All-whitespace io-chaos text is likewise no injection.
         assert!(try_with(&[(IO_CHAOS_ENV, "  \t ")])
             .expect("whitespace spec")
@@ -461,13 +556,15 @@ mod tests {
     }
 
     #[test]
-    fn runs_knob_clamps_to_the_sane_window() {
+    fn runs_knob_rejects_values_outside_the_window() {
+        assert_eq!(with(&[(RUNS_ENV, "1")]).runs, 1);
         assert_eq!(with(&[(RUNS_ENV, "8")]).runs, 8);
         assert_eq!(with(&[(RUNS_ENV, "512")]).runs, 512);
-        // Zero, negatives, absurd counts, and garbage all fall back to 1.
-        assert_eq!(with(&[(RUNS_ENV, "0")]).runs, 1);
-        assert_eq!(with(&[(RUNS_ENV, "-4")]).runs, 1);
-        assert_eq!(with(&[(RUNS_ENV, "513")]).runs, 1);
-        assert_eq!(with(&[(RUNS_ENV, "many")]).runs, 1);
+        // Zero, negatives, absurd counts, and garbage are typed errors.
+        for bad in ["0", "-4", "513", "999", "many"] {
+            rejects(RUNS_ENV, bad);
+        }
+        let err = try_with(&[(RUNS_ENV, "513")]).unwrap_err();
+        assert!(err.to_string().contains(&format!("1..={MAX_RUNS}")), "{err}");
     }
 }

@@ -57,11 +57,6 @@ impl ArtifactSet {
         self.exports.values()
     }
 
-    /// The exports one experiment produced.
-    pub fn for_experiment<'a>(&'a self, id: &'a str) -> impl Iterator<Item = &'a CsvExport> {
-        self.iter().filter(move |e| e.experiment == id)
-    }
-
     /// All file names, in order.
     pub fn files(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.exports.keys().copied()
@@ -637,8 +632,9 @@ mod tests {
     #[test]
     fn exports_are_tagged_with_their_experiment() {
         let all = build_strict();
-        assert_eq!(all.for_experiment("figure1").count(), 2);
-        assert_eq!(all.for_experiment("table4").count(), 1);
+        let made_by = |id: &str| all.iter().filter(|e| e.experiment == id).count();
+        assert_eq!(made_by("figure1"), 2);
+        assert_eq!(made_by("table4"), 1);
         assert_eq!(
             all.get("figure3_amp.csv").expect("present").experiment,
             "figure3"

@@ -3,7 +3,6 @@
 use crate::report::Table;
 use crate::runner::{Artifact, Ctx, Experiment, ExperimentError};
 use mlperf_hw::systems::SystemId;
-use mlperf_hw::topology::P2pClass;
 
 /// Render the platform-specification table, including the derived
 /// GPU-to-GPU path classification that drives §V-E.
@@ -42,23 +41,6 @@ pub fn render() -> String {
         ]);
     }
     t.to_string()
-}
-
-/// The derived worst-path class per 4-GPU platform (used by Table I's
-/// insight checks).
-pub fn worst_path_classes() -> Vec<(SystemId, P2pClass)> {
-    SystemId::FOUR_GPU_PLATFORMS
-        .iter()
-        .map(|&id| {
-            let spec = id.spec();
-            let class = spec
-                .topology()
-                .worst_peer_path(&[0, 1, 2, 3])
-                .expect("4-GPU platforms are connected")
-                .class;
-            (id, class)
-        })
-        .collect()
 }
 
 /// Table III as the executor schedules it. The table derives from static
@@ -101,11 +83,25 @@ mod tests {
 
     #[test]
     fn class_hierarchy_matches_section_v_e() {
-        let classes: std::collections::HashMap<_, _> = worst_path_classes().into_iter().collect();
-        assert_eq!(classes[&SystemId::C4140M], P2pClass::NvLinkDirect);
-        assert_eq!(classes[&SystemId::C4140K], P2pClass::NvLinkDirect);
-        assert_eq!(classes[&SystemId::C4140B], P2pClass::PcieSwitchP2p);
-        assert_eq!(classes[&SystemId::T640], P2pClass::ThroughUpi);
-        assert_eq!(classes[&SystemId::R940Xa], P2pClass::ThroughUpi);
+        use mlperf_hw::topology::P2pClass;
+        // The table's derived worst-path column, per 4-GPU platform.
+        let table = render();
+        let worst_path = |id: SystemId| {
+            let row = table
+                .lines()
+                .find(|l| l.starts_with(&format!("| {} ", id.name())))
+                .unwrap_or_else(|| panic!("no row for {id}"));
+            let last = row.trim_end_matches('|').rsplit('|').next();
+            last.expect("row has cells").trim().to_string()
+        };
+        for (id, class) in [
+            (SystemId::C4140M, P2pClass::NvLinkDirect),
+            (SystemId::C4140K, P2pClass::NvLinkDirect),
+            (SystemId::C4140B, P2pClass::PcieSwitchP2p),
+            (SystemId::T640, P2pClass::ThroughUpi),
+            (SystemId::R940Xa, P2pClass::ThroughUpi),
+        ] {
+            assert_eq!(worst_path(id), class.to_string(), "{id}");
+        }
     }
 }

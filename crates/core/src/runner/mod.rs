@@ -886,23 +886,6 @@ impl Artifact {
             _ => None,
         }
     }
-
-    /// The partition-study payload, if that is what this artifact holds.
-    pub fn as_partition(&self) -> Option<&partition_study::PartitionStudy> {
-        match self {
-            Artifact::Partition(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The co-location-study payload, if that is what this artifact
-    /// holds.
-    pub fn as_colocation(&self) -> Option<&colocation_study::ColocationStudy> {
-        match self {
-            Artifact::Colocation(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 /// One experiment as the executor schedules it.
@@ -1080,8 +1063,9 @@ impl Execution {
     }
 }
 
-/// Environment variable: `MLPERF_STRICT=1` restores fail-fast execution
-/// (no retries, first failure aborts the run) for CI.
+/// Environment variable: a true boolean (`MLPERF_STRICT=1`, `on`, `true`
+/// or `yes`) restores fail-fast execution (no retries, first failure
+/// aborts the run) for CI.
 pub const STRICT_ENV: &str = "MLPERF_STRICT";
 /// Environment variable naming one experiment id to chaos-panic.
 pub const CHAOS_ENV: &str = "MLPERF_CHAOS";

@@ -21,8 +21,8 @@ use std::thread::Thread;
 use std::time::Duration;
 
 /// Environment variable overriding the worker count (`MLPERF_JOBS=1`
-/// forces fully serial execution; unset falls back to
-/// `available_parallelism`).
+/// forces fully serial execution; unset means `available_parallelism`,
+/// and `0` or a non-number is a typed knob error).
 pub const JOBS_ENV: &str = "MLPERF_JOBS";
 
 /// How long an idle worker parks before re-scanning the deques. Wake-ups
@@ -79,7 +79,7 @@ impl Pool {
     }
 
     /// The pool a resolved [`Config`](crate::config::Config) dictates:
-    /// [`JOBS_ENV`] workers when set to a positive integer, otherwise
+    /// [`JOBS_ENV`] workers when set, otherwise
     /// [`std::thread::available_parallelism`].
     pub fn from_config(config: &crate::config::Config) -> Pool {
         Pool::with_workers(config.jobs)

@@ -41,9 +41,9 @@
 //!   byte-identical output.
 //!
 //! Escape hatches: `--no-cache` on the `repro` CLI, `MLPERF_CACHE=off` in
-//! the environment. `MLPERF_CACHE_DIR` moves the directory,
-//! `MLPERF_CACHE_EPOCH` pins the epoch (tests use this to exercise
-//! invalidation deterministically).
+//! the environment. `MLPERF_CACHE_DIR` moves the directory. Tests pin the
+//! epoch through [`DiskCache::open_with_epoch`] to exercise invalidation
+//! deterministically.
 
 use mlperf_testkit::hash::{fnv1a64, Fnv1a64};
 use mlperf_testkit::iochaos::{IoChaosPlan, ReadFault, RenameFault, WriteFault};
@@ -51,12 +51,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Environment variable: `off` (or `0`) disables the persistent cache.
+/// Environment variable: a false boolean (`off`, `0`, `false`, `no`)
+/// disables the persistent cache.
 pub const CACHE_ENV: &str = "MLPERF_CACHE";
 /// Environment variable overriding the cache directory.
 pub const CACHE_DIR_ENV: &str = "MLPERF_CACHE_DIR";
-/// Environment variable pinning the code epoch (u64; tests only).
-pub const CACHE_EPOCH_ENV: &str = "MLPERF_CACHE_EPOCH";
 /// Environment variable carrying a seeded I/O fault-injection spec
 /// (see [`mlperf_testkit::iochaos::IoChaosSpec::parse`]).
 pub const IO_CHAOS_ENV: &str = "MLPERF_IO_CHAOS";
@@ -217,12 +216,6 @@ pub struct DiskCache {
 pub fn code_epoch() -> u64 {
     static EPOCH: OnceLock<u64> = OnceLock::new();
     *EPOCH.get_or_init(|| {
-        if let Some(e) = std::env::var(CACHE_EPOCH_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            return e;
-        }
         std::env::current_exe()
             .ok()
             .and_then(|p| std::fs::read(p).ok())

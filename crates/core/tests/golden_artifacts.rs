@@ -1,7 +1,7 @@
 //! Golden-file tests: the CSV exports regenerate the checked-in
 //! `artifacts/` byte-for-byte.
 //!
-//! The whole pipeline behind these files — synthetic data, simulation,
+//! The whole pipeline behind these files — workload models, simulation,
 //! analysis, rendering — is deterministic (see the "Offline build &
 //! determinism policy" section in DESIGN.md), so exact equality is the
 //! contract. If an intentional model change shifts numbers, regenerate

@@ -9,8 +9,7 @@
 //!   image benchmarks "require CPU to perform more packaging of the data");
 //! * **per-sample device bytes** — drives H2D PCIe traffic.
 //!
-//! We model exactly those attributes; [`synthetic`](crate::synthetic)
-//! generates bit-exact stand-in records for code paths that want real bytes.
+//! We model exactly those attributes.
 
 use mlperf_hw::units::Bytes;
 use std::fmt;

@@ -3,8 +3,8 @@
 //! The study's corpora ([`dataset`]) are modeled by the four attributes its
 //! measurements depend on (sample count, staged size, host preprocessing
 //! cost, device bytes); [`loader`] composes them into the host→GPU input
-//! pipeline the simulator overlaps with compute; [`synthetic`] generates
-//! reproducible stand-in records for code paths that want real bytes.
+//! pipeline the simulator overlaps with compute; [`storage`] prices how
+//! fast a device can stage the corpus.
 //!
 //! # Examples
 //!
@@ -18,12 +18,8 @@
 
 pub mod dataset;
 pub mod loader;
-pub mod shards;
 pub mod storage;
-pub mod synthetic;
 
 pub use dataset::{DatasetId, DatasetSpec};
 pub use loader::InputPipeline;
-pub use shards::{plan_shards, shuffle_order, EpochReader, Shard, ShardError};
 pub use storage::{ReadPattern, StagingPlan, StorageDevice};
-pub use synthetic::{Record, SyntheticDataset};

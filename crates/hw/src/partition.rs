@@ -75,14 +75,6 @@ impl PartitionProfile {
             PartitionProfile::Seventh => 7,
         }
     }
-
-    /// The layout with `k` slices, if one exists (`k = 1` is "no
-    /// partition" and has no profile).
-    pub fn with_slice_count(k: u32) -> Option<PartitionProfile> {
-        PartitionProfile::ALL
-            .into_iter()
-            .find(|p| p.slice_count() == k)
-    }
 }
 
 /// Why a partition layout was refused. Validity failures are typed and
@@ -433,8 +425,6 @@ mod tests {
             let spec = PartitionSpec::packed(profile);
             assert_eq!(spec.tenants(), profile.slice_count());
         }
-        assert_eq!(PartitionProfile::with_slice_count(7), Some(PartitionProfile::Seventh));
-        assert_eq!(PartitionProfile::with_slice_count(3), None);
     }
 
     #[test]

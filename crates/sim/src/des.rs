@@ -104,12 +104,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedule `event` after a delay from the current time.
-    pub fn schedule_after(&mut self, delay: Seconds, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Seconds, E)> {
         let entry = self.heap.pop()?;
@@ -226,16 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Seconds::new(2.0), "first");
-        q.pop();
-        q.schedule_after(Seconds::new(3.0), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, Seconds::new(5.0));
-    }
-
-    #[test]
     #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -333,7 +317,8 @@ mod tests {
         };
         for i in 32..2000u64 {
             check(q.pop().unwrap());
-            q.schedule_after(Seconds::new((rng.gen_range(0..20u32) as f64) * 0.25), i);
+            let delay = Seconds::new((rng.gen_range(0..20u32) as f64) * 0.25);
+            q.schedule(q.now() + delay, i);
         }
         while let Some(got) = q.pop() {
             check(got);

@@ -210,11 +210,6 @@ impl RunSpec {
         &self.gpus
     }
 
-    /// Whether the per-iteration timeline is recorded.
-    pub fn records_trace(&self) -> bool {
-        self.record_trace
-    }
-
     /// The fault scenario to replay, if any.
     pub fn faults(&self) -> Option<&crate::fault::FaultConfig> {
         self.faults.as_ref()

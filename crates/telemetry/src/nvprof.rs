@@ -4,13 +4,12 @@
 //! collecting kernel invocations/durations, floating-point operation counts,
 //! and memory read/write transactions, then derives the roofline coordinates
 //! of Fig. 2. This module produces the same records from the analytical
-//! graphs: one [`KernelRecord`] per operator per step, grouped by kind, with
+//! graphs: one [`KernelRecord`] per operator per step, tagged by kind, with
 //! the derived FLOP throughput and arithmetic intensity.
 
 use mlperf_hw::units::{Bytes, Flops, Seconds};
 use mlperf_hw::FlopRate;
 use mlperf_models::{ModelGraph, OpKind, PrecisionPolicy};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One profiled kernel class (all invocations of one operator).
@@ -96,50 +95,6 @@ impl KernelProfile {
     pub fn throughput(&self, step_time: Seconds) -> FlopRate {
         self.total_flops() / step_time
     }
-
-    /// Per-kind aggregation: (invocations, FLOPs, bytes) by operator kind —
-    /// the "statistic of kernels" the paper publishes alongside.
-    pub fn by_kind(&self) -> BTreeMap<OpKind, (u64, Flops, Bytes)> {
-        let mut map: BTreeMap<OpKind, (u64, Flops, Bytes)> = BTreeMap::new();
-        for r in &self.records {
-            let e = map.entry(r.kind).or_insert((0, Flops::ZERO, Bytes::ZERO));
-            e.0 += r.invocations;
-            e.1 += r.flops;
-            e.2 += r.bytes;
-        }
-        map
-    }
-
-    /// The `k` kernels with the most FLOPs, descending — `nvprof`'s
-    /// "top kernels by time" table, approximated by work.
-    pub fn top_kernels(&self, k: usize) -> Vec<&KernelRecord> {
-        let mut sorted: Vec<&KernelRecord> = self.records.iter().collect();
-        sorted.sort_by(|a, b| b.flops.cmp(&a.flops).then(a.name.cmp(&b.name)));
-        sorted.truncate(k);
-        sorted
-    }
-
-    /// The `k` kernels with the longest *durations* on a given device —
-    /// exactly `nvprof`'s headline table. Each entry pairs a record with
-    /// its roofline-priced time on the timer's GPU.
-    pub fn top_kernels_by_time(
-        &self,
-        model: &ModelGraph,
-        batch: u64,
-        policy: PrecisionPolicy,
-        timer: &mlperf_sim::KernelTimer,
-        k: usize,
-    ) -> Vec<(String, Seconds)> {
-        let mut times = timer.op_times(model, batch, policy);
-        times.sort_by(|a, b| {
-            b.1.as_secs()
-                .partial_cmp(&a.1.as_secs())
-                .expect("durations are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        times.truncate(k);
-        times
-    }
 }
 
 impl fmt::Display for KernelProfile {
@@ -194,45 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn by_kind_partitions_totals() {
-        let p = profile();
-        let total: u64 = p.by_kind().values().map(|(_, f, _)| f.as_u64()).sum();
-        assert_eq!(total, p.total_flops().as_u64());
-    }
-
-    #[test]
-    fn top_kernels_sorted_descending() {
-        let p = profile();
-        let top = p.top_kernels(5);
-        assert_eq!(top.len(), 5);
-        assert!(top.windows(2).all(|w| w[0].flops >= w[1].flops));
-        // Convolutions dominate a ResNet.
-        assert_eq!(top[0].kind, OpKind::Conv);
-    }
-
-    #[test]
     fn invocations_count_both_passes() {
         let p = profile();
         assert!(p.records().iter().all(|r| r.invocations == 2));
-    }
-
-    #[test]
-    fn duration_ranking_can_differ_from_work_ranking() {
-        use mlperf_hw::GpuModel;
-        use mlperf_sim::{Efficiency, KernelTimer};
-        let g = resnet18_cifar();
-        let p = KernelProfile::of_step(&g, 128, PrecisionPolicy::Amp);
-        let timer = KernelTimer::new(GpuModel::TeslaV100Sxm2_16.spec(), Efficiency::tuned());
-        let by_time = p.top_kernels_by_time(&g, 128, PrecisionPolicy::Amp, &timer, 8);
-        assert_eq!(by_time.len(), 8);
-        assert!(by_time
-            .windows(2)
-            .all(|w| w[0].1.as_secs() >= w[1].1.as_secs()));
-        // Under AMP, memory-bound batch norms take disproportionate time
-        // relative to their FLOPs: they appear earlier by time than by work.
-        let by_work: Vec<&str> = p.top_kernels(8).iter().map(|r| r.name.as_str()).collect();
-        assert!(by_work
-            .iter()
-            .all(|n| n.contains("conv") || n.contains("proj")));
     }
 }

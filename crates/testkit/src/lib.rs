@@ -5,7 +5,7 @@
 //! reaching for crates.io. Three modules:
 //!
 //! * [`rng`] — a seedable SplitMix64-seeded xoshiro256++ PRNG with
-//!   stream-splitting, so every shard / record / test case draws from an
+//!   stream-splitting, so every replicated run / test case draws from an
 //!   independent, replayable stream;
 //! * [`prop`] — a minimal property-testing harness (generators, a
 //!   [`properties!`](crate::properties) macro close to `proptest!`, greedy
@@ -25,10 +25,9 @@
 //! * [`loadgen`] — seeded client-workload plans (skewed hot-subset draws
 //!   over an abstract query vocabulary) for replayable load tests of
 //!   long-lived services;
-//! * [`hash`] — the workspace's single FNV-1a implementation (64- and
-//!   32-bit, with published reference vectors): retry-stream mapping,
-//!   trace fingerprints, shard checksums, and the persistent artifact
-//!   cache all key on it.
+//! * [`hash`] — the workspace's single FNV-1a implementation (64-bit,
+//!   with published reference vectors): retry-stream mapping, trace
+//!   fingerprints, and the persistent artifact cache all key on it.
 //!
 //! The whole workspace builds and tests offline because of this crate: it
 //! has **zero dependencies** by design. See DESIGN.md §"Offline build &

@@ -4,14 +4,13 @@
 //! 256-bit state filled from successive SplitMix64 outputs of the seed —
 //! the seeding procedure the xoshiro authors recommend. Both algorithms
 //! are pinned by reference vectors in `tests/self_tests.rs`, so the byte
-//! streams tests and synthetic datasets depend on can never drift
-//! silently.
+//! streams seeded tests and studies depend on can never drift silently.
 //!
 //! Stream splitting: [`Rng::stream`] derives an independent generator
 //! from `(seed, stream)` by mixing both through the SplitMix64 finalizer.
-//! Per-shard / per-record generators built this way are random-access —
-//! record *i* of a dataset is a pure function of `(seed, i)`, regardless
-//! of generation order.
+//! Per-run generators built this way are random-access — run *i* of a
+//! replicated cell is a pure function of `(seed, i)`, regardless of
+//! generation order.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -60,7 +59,7 @@ impl Rng {
     ///
     /// `stream(s, a)` and `stream(s, b)` are uncorrelated for `a != b`,
     /// and each is a pure function of its arguments — the basis for
-    /// per-shard and per-record determinism.
+    /// per-run replication determinism.
     pub fn stream(seed: u64, stream: u64) -> Self {
         Rng::new(mix64(seed) ^ mix64(!stream))
     }
@@ -100,15 +99,6 @@ impl Rng {
     /// Panics if the range is empty.
     pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
         range.sample_from(self)
-    }
-
-    /// Fill `dst` with random bytes (little-endian chunks of the `u64`
-    /// stream, so the byte stream is as reproducible as the word stream).
-    pub fn fill_bytes(&mut self, dst: &mut [u8]) {
-        for chunk in dst.chunks_mut(8) {
-            let word = self.gen_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
     }
 
     /// Fisher–Yates shuffle in place.

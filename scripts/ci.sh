@@ -363,6 +363,18 @@ set -e
 grep -q "MLPERF_PARTITION" "$report_tmp/part_bad.log" \
     || { echo "malformed-knob error does not name MLPERF_PARTITION" >&2; exit 1; }
 
+echo "== bench inventory: every declared bench is one this script runs =="
+# A bench that CI never runs rots unseen. Every [[bench]] that
+# crates/bench/Cargo.toml declares must appear below as `--bench NAME`.
+benches="$(awk '/^\[\[bench\]\]/ { want = 1; next }
+                want && /^name *=/ { gsub(/[" ]/, ""); sub(/^name=/, ""); print; want = 0 }' \
+    crates/bench/Cargo.toml)"
+[ -n "$benches" ] || { echo "found no [[bench]] in crates/bench/Cargo.toml" >&2; exit 1; }
+for name in $benches; do
+    grep -v '^[[:space:]]*#' scripts/ci.sh | grep -Eq -- "--bench $name( |\$)" \
+        || { echo "crates/bench/Cargo.toml declares bench '$name', which scripts/ci.sh never runs" >&2; exit 1; }
+done
+
 echo "== executor bench (JSON) =="
 cargo bench -q --offline -p mlperf-bench --bench executor
 

@@ -54,41 +54,6 @@ fn optimal_schedule_is_stable() {
 }
 
 #[test]
-fn same_seed_produces_byte_identical_synthetic_shards() {
-    // The offline determinism contract for generated data: two independent
-    // generator instances with the same (dataset, seed) emit shards whose
-    // encoded bytes are identical — not just equal record counts or sizes.
-    use mlperf_data::{DatasetId, Shard, SyntheticDataset};
-
-    let build = || {
-        let mut gen = SyntheticDataset::new(DatasetId::Cifar10, 0xD5EED);
-        let mut shards = Vec::new();
-        for chunk in gen.take(64).chunks(16) {
-            let mut shard = Shard::new();
-            for record in chunk {
-                shard.push(record);
-            }
-            shards.push(shard);
-        }
-        shards
-    };
-    let a = build();
-    let b = build();
-    assert_eq!(a.len(), b.len());
-    for (sa, sb) in a.iter().zip(&b) {
-        assert_eq!(sa.as_bytes(), sb.as_bytes(), "shard bytes must be identical");
-    }
-    // And the records round-trip: decoding gives back the generated payloads.
-    let decoded = a[0].decode().expect("shard decodes");
-    let mut gen = SyntheticDataset::new(DatasetId::Cifar10, 0xD5EED);
-    for (i, (label, payload)) in decoded.iter().enumerate() {
-        let r = gen.record(i as u64);
-        assert_eq!(*label, r.label);
-        assert_eq!(*payload, r.payload);
-    }
-}
-
-#[test]
 fn training_outcome_scales_linearly_with_epochs() {
     // Doubling epochs-to-target exactly doubles training time: the engine
     // composes linearly, so calibration of one is calibration of the other.

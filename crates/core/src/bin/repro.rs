@@ -44,8 +44,7 @@ fn usage() -> &'static str {
             artifacts/cache/ when warm; disable with --no-cache or MLPERF_CACHE=off,\n\
             relocate with MLPERF_CACHE_DIR=DIR\n\
      env: MLPERF_JOBS=N (workers), MLPERF_STRICT=1 (fail fast, no degraded mode),\n\
-          MLPERF_RETRIES=N, MLPERF_STEP_BUDGET=N, MLPERF_FASTPATH=off (force the\n\
-          full DES engine; output bytes are identical either way — see README),\n\
+          MLPERF_RETRIES=N, MLPERF_STEP_BUDGET=N,\n\
           MLPERF_RUNS=N (seeded replications per training cell; 1 = point estimate),\n\
           MLPERF_PARTITION=TOKEN (run sweeps on a fractional device, e.g. 1of4x3;\n\
           'full' = whole device; pinned report sections ignore it),\n\
@@ -185,9 +184,7 @@ fn run_sweeps(
     // Memo-free context: sweep cells are pairwise distinct, so the step
     // memo would only grow O(grid) without ever hitting — the disk cache
     // (content-addressed, batched) is the persistence layer here.
-    let ctx = Ctx::without_memo()
-        .with_fastpath(cfg.fastpath)
-        .with_runs(cfg.runs);
+    let ctx = Ctx::without_memo().with_runs(cfg.runs);
     // Rows are streamed to disk one shard at a time, so memory is bounded
     // by the shard regardless of the grid (the million-cell sweep never
     // materializes). Bytes are identical to the in-memory rendering.

@@ -13,7 +13,7 @@
 //!
 //! Every knob parses strictly and by one rule per type: absent or blank
 //! is the default, integers must parse and lie in the knob's range, and
-//! booleans (`MLPERF_STRICT`, `MLPERF_CACHE`, `MLPERF_FASTPATH`) accept
+//! booleans (`MLPERF_STRICT`, `MLPERF_CACHE`) accept
 //! only `1`/`0`, `on`/`off`, `true`/`false` or `yes`/`no`. Anything else
 //! is a [`ConfigError`] naming the knob, so `repro` exits 1 before it
 //! writes anything.
@@ -23,8 +23,8 @@
 //! the process environment, because the suite runs multi-threaded.
 
 use crate::runner::{
-    ChaosSpec, CHAOS_ATTEMPTS_ENV, CHAOS_ENV, FASTPATH_ENV, JOBS_ENV, PARTITION_ENV,
-    RETRIES_ENV, RUNS_ENV, STEP_BUDGET_ENV, STRICT_ENV,
+    ChaosSpec, CHAOS_ATTEMPTS_ENV, CHAOS_ENV, JOBS_ENV, PARTITION_ENV, RETRIES_ENV, RUNS_ENV,
+    STEP_BUDGET_ENV, STRICT_ENV,
 };
 use crate::serve::{
     DEFAULT_MAX_FRAME, DEFAULT_READ_TIMEOUT_MS, DEFAULT_WRITE_TIMEOUT_MS, SERVE_MAX_FRAME_ENV,
@@ -91,10 +91,6 @@ pub struct Config {
     /// Persistent-cache directory (`MLPERF_CACHE_DIR`, else
     /// `artifacts/cache`).
     pub cache_dir: PathBuf,
-    /// Whether the engine's analytic fast path may be attempted
-    /// (`MLPERF_FASTPATH` not false). Output bytes are
-    /// identical either way; this only trades throughput.
-    pub fastpath: bool,
     /// Per-experiment (and, for the server, per-client) simulation-request
     /// budget (`MLPERF_STEP_BUDGET`). Counted in requests, never
     /// wall-clock, so verdicts are deterministic.
@@ -225,7 +221,6 @@ impl Config {
         let cache_enabled = strict_bool(&get, CACHE_ENV)?.unwrap_or(true) && chaos.is_none();
         let cache_dir =
             get(CACHE_DIR_ENV).map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from);
-        let fastpath = strict_bool(&get, FASTPATH_ENV)?.unwrap_or(true);
         let strict = strict_bool(&get, STRICT_ENV)?.unwrap_or(false);
         let retries = unsigned_in(&get, RETRIES_ENV, 0..=u32_max, UNSIGNED_32)?.map(|n| n as u32);
         let runs = unsigned_in(&get, RUNS_ENV, 1..=u64::from(MAX_RUNS), RUN_COUNT)?
@@ -261,7 +256,6 @@ impl Config {
             jobs,
             cache_enabled,
             cache_dir,
-            fastpath,
             step_budget,
             strict,
             retries,
@@ -309,7 +303,6 @@ mod tests {
         assert!(cfg.jobs >= 1);
         assert!(cfg.cache_enabled);
         assert_eq!(cfg.cache_dir, PathBuf::from(DEFAULT_CACHE_DIR));
-        assert!(cfg.fastpath);
         assert_eq!(cfg.step_budget, None);
         assert!(!cfg.strict);
         assert_eq!(cfg.retries, None);
@@ -328,7 +321,6 @@ mod tests {
             (JOBS_ENV, "3"),
             (CACHE_ENV, "on"),
             (CACHE_DIR_ENV, "/tmp/alt"),
-            (FASTPATH_ENV, "off"),
             (STEP_BUDGET_ENV, "250"),
             (STRICT_ENV, "1"),
             (RETRIES_ENV, "7"),
@@ -342,7 +334,6 @@ mod tests {
         assert_eq!(cfg.jobs, 3);
         assert!(cfg.cache_enabled);
         assert_eq!(cfg.cache_dir, PathBuf::from("/tmp/alt"));
-        assert!(!cfg.fastpath);
         assert_eq!(cfg.step_budget, Some(250));
         assert!(cfg.strict);
         assert_eq!(cfg.retries, Some(7));
@@ -410,13 +401,12 @@ mod tests {
 
     #[test]
     fn boolean_knobs_share_one_rule() {
-        for knob in [STRICT_ENV, CACHE_ENV, FASTPATH_ENV] {
+        for knob in [STRICT_ENV, CACHE_ENV] {
             let read = |value: &str| {
                 let cfg = with(&[(knob, value)]);
                 match knob {
                     STRICT_ENV => cfg.strict,
-                    CACHE_ENV => cfg.cache_enabled,
-                    _ => cfg.fastpath,
+                    _ => cfg.cache_enabled,
                 }
             };
             for on in ["1", "on", "true", "yes", "TRUE", " Yes "] {
@@ -503,7 +493,6 @@ mod tests {
             (RETRIES_ENV, " "),
             (STRICT_ENV, " "),
             (CACHE_ENV, ""),
-            (FASTPATH_ENV, "\t"),
         ])
         .expect("blank knobs are unset, not errors");
         assert!(cfg.io_chaos.is_none());
@@ -511,7 +500,7 @@ mod tests {
         assert_eq!(cfg.serve_max_frame, DEFAULT_MAX_FRAME);
         assert!(cfg.jobs >= 1);
         assert_eq!((cfg.runs, cfg.retries), (1, None));
-        assert!(!cfg.strict && cfg.cache_enabled && cfg.fastpath);
+        assert!(!cfg.strict && cfg.cache_enabled);
         // All-whitespace io-chaos text is likewise no injection.
         assert!(try_with(&[(IO_CHAOS_ENV, "  \t ")])
             .expect("whitespace spec")

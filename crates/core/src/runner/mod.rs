@@ -48,9 +48,8 @@ use crate::experiments::{
 };
 use crate::workloads::{self, WorkloadRun, WorkloadSpec};
 use crate::{sensitivity, validation};
-use mlperf_analysis::roofline::RooflineModel;
 use mlperf_hw::systems::{SystemId, SystemSpec};
-use mlperf_hw::{PartitionSpec, Precision};
+use mlperf_hw::PartitionSpec;
 use mlperf_models::PrecisionPolicy;
 use error::panic_message;
 use mlperf_sim::engine::{RunSpec, SimError, Simulator, StepReport};
@@ -61,7 +60,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -215,17 +214,6 @@ impl CacheStats {
     }
 }
 
-/// Key of one roofline pre-screen verdict: (benchmark, reference,
-/// system, precision, gpus, partition).
-type ScreenKey = (
-    BenchmarkId,
-    bool,
-    SystemId,
-    PrecisionPolicy,
-    u32,
-    Option<PartitionSpec>,
-);
-
 /// Shared execution context: the memo caches, the artifact store, and the
 /// cache counters. One `Ctx` spans one report (or one standalone
 /// experiment run); sharing it across experiments is what deduplicates
@@ -236,20 +224,19 @@ pub struct Ctx {
     artifacts: Mutex<HashMap<&'static str, Arc<Artifact>>>,
     uncached: AtomicU64,
     memoize: bool,
-    /// Interned platform specs: building a [`SystemSpec`] walks the whole
+    /// Interned platform specs, one slot per [`SystemId`] (see
+    /// [`system_slot`]): building a [`SystemSpec`] walks the whole
     /// topology, which a million-cell sweep must not repeat per cell.
-    systems: Mutex<HashMap<SystemId, Arc<SystemSpec>>>,
-    /// Interned benchmark template jobs (tuned and reference): cloning a
-    /// template is an `Arc` bump on the model graph, where rebuilding one
-    /// re-allocates the whole operator list per cell.
-    templates: Mutex<HashMap<(BenchmarkId, bool), Arc<TrainingJob>>>,
-    /// Whether the engine's analytic fast path may be attempted at all
-    /// (the `MLPERF_FASTPATH=off` escape hatch).
+    systems: [OnceLock<SystemSpec>; SYSTEM_SLOTS],
+    /// Interned benchmark template jobs, one slot per (benchmark,
+    /// reference) pair (see [`template_slot`]): cloning a template is an
+    /// `Arc` bump on the model graph, where rebuilding one re-allocates
+    /// the whole operator list per cell.
+    templates: [OnceLock<TrainingJob>; TEMPLATE_SLOTS],
+    /// Whether the engine's analytic fast path is attempted. Always on
+    /// outside tests; [`Ctx::with_fastpath`] turns it off so the
+    /// differential batteries can price the same cells through the DES.
     fastpath: bool,
-    /// Roofline pre-screen verdicts, one per (benchmark, reference,
-    /// system, precision, gpus) combo — batch-independent by construction
-    /// so the cached verdict is scheduling-invariant.
-    fast_screen: Mutex<HashMap<ScreenKey, bool>>,
     /// Unique simulation points that attempted the analytic fast path.
     fast_attempts: AtomicU64,
     /// Unique simulation points the fast path actually priced.
@@ -257,6 +244,34 @@ pub struct Ctx {
     /// How many seeded runs each Training cell replicates (the
     /// `MLPERF_RUNS` resolution; 1 = point pricing, no extra columns).
     runs: u32,
+}
+
+/// One [`Ctx::system_spec`] slot per [`SystemId`] variant, the
+/// extension platforms outside [`SystemId::ALL`] included.
+const SYSTEM_SLOTS: usize = 8;
+/// One [`Ctx::base_job`] slot per (benchmark, reference) pair.
+const TEMPLATE_SLOTS: usize = 2 * BenchmarkId::ALL.len();
+
+/// A platform's interning slot. The match is exhaustive, so a new
+/// platform cannot be added without a slot.
+fn system_slot(id: SystemId) -> usize {
+    match id {
+        SystemId::T640 => 0,
+        SystemId::C4140B => 1,
+        SystemId::C4140K => 2,
+        SystemId::C4140M => 3,
+        SystemId::R940Xa => 4,
+        SystemId::Dss8440 => 5,
+        SystemId::ReferenceP100 => 6,
+        SystemId::Dgx1V => 7,
+    }
+}
+
+/// A template job's interning slot: the benchmark's declaration index
+/// (below nine: [`BenchmarkId::ALL`] lists every variant in that order),
+/// doubled, plus one for the reference implementation.
+fn template_slot(benchmark: BenchmarkId, reference: bool) -> usize {
+    2 * (benchmark as usize) + usize::from(reference)
 }
 
 thread_local! {
@@ -308,17 +323,15 @@ impl Ctx {
     ///
     /// [`Config`]: crate::config::Config
     pub fn from_config(cfg: &crate::config::Config) -> Ctx {
-        let fastpath = cfg.fastpath;
         Ctx {
             steps: ShardedCache::new(),
             kernels: ShardedCache::new(),
             artifacts: Mutex::new(HashMap::new()),
             uncached: AtomicU64::new(0),
             memoize: true,
-            systems: Mutex::new(HashMap::new()),
-            templates: Mutex::new(HashMap::new()),
-            fastpath,
-            fast_screen: Mutex::new(HashMap::new()),
+            systems: [const { OnceLock::new() }; SYSTEM_SLOTS],
+            templates: [const { OnceLock::new() }; TEMPLATE_SLOTS],
+            fastpath: true,
             fast_attempts: AtomicU64::new(0),
             fast_hits: AtomicU64::new(0),
             runs: cfg.runs.max(1),
@@ -328,9 +341,8 @@ impl Ctx {
     /// A context that never memoizes — every request is recomputed — under
     /// the default [`Config`](crate::config::Config), like [`Ctx::new`].
     /// Sweeps use it (their cells are pairwise distinct, so a memo would
-    /// never hit), chaining [`Ctx::with_fastpath`] and [`Ctx::with_runs`]
-    /// to honour the resolved knobs; the executor bench uses it as the
-    /// unmemoized baseline.
+    /// never hit), chaining [`Ctx::with_runs`] to honour the resolved
+    /// knob; the executor bench uses it as the unmemoized baseline.
     pub fn without_memo() -> Ctx {
         Ctx {
             memoize: false,
@@ -338,10 +350,11 @@ impl Ctx {
         }
     }
 
-    /// Force the analytic fast path on or off (the [`FASTPATH_ENV`]
-    /// resolution, or an explicit override). The contract either way: identical output bytes
-    /// (the fast path is exact and the differential batteries pin it);
-    /// only the throughput changes.
+    /// Turn the analytic fast path off to price every point through the
+    /// reference DES loop. Production contexts never do: the engine
+    /// proves eligibility per point and falls back to the DES itself.
+    /// This is the differential batteries' lever, which hold the two
+    /// loops to identical output bytes.
     #[must_use]
     pub fn with_fastpath(mut self, enabled: bool) -> Ctx {
         self.fastpath = enabled;
@@ -381,28 +394,20 @@ impl Ctx {
     }
 
     /// The interned platform spec for `id`.
-    pub fn system_spec(&self, id: SystemId) -> Arc<SystemSpec> {
-        Arc::clone(
-            lock(&self.systems)
-                .entry(id)
-                .or_insert_with(|| Arc::new(id.spec())),
-        )
+    pub fn system_spec(&self, id: SystemId) -> &SystemSpec {
+        self.systems[system_slot(id)].get_or_init(|| id.spec())
     }
 
     /// The interned template job for a benchmark (tuned or reference
     /// implementation), shared across every cell that starts from it.
-    pub fn base_job(&self, benchmark: BenchmarkId, reference: bool) -> Arc<TrainingJob> {
-        Arc::clone(
-            lock(&self.templates)
-                .entry((benchmark, reference))
-                .or_insert_with(|| {
-                    Arc::new(if reference {
-                        benchmark.reference_job()
-                    } else {
-                        benchmark.job()
-                    })
-                }),
-        )
+    pub fn base_job(&self, benchmark: BenchmarkId, reference: bool) -> &TrainingJob {
+        self.templates[template_slot(benchmark, reference)].get_or_init(|| {
+            if reference {
+                benchmark.reference_job()
+            } else {
+                benchmark.job()
+            }
+        })
     }
 
     /// Materialize a point's job from the interned template: an `Arc`
@@ -411,7 +416,7 @@ impl Ctx {
     /// preflight admission check, which must price-check exactly the job
     /// the executor would run.
     pub(crate) fn job_for(&self, point: &TrainPoint) -> TrainingJob {
-        let mut job = (*self.base_job(point.benchmark, point.reference)).clone();
+        let mut job = self.base_job(point.benchmark, point.reference).clone();
         if let Some(p) = point.precision {
             job = job.with_precision(p);
         }
@@ -494,14 +499,16 @@ impl Ctx {
         Ctx::charge()?;
         let system = self.system_spec(point.system);
         let simulate = || {
-            let sim = Simulator::new(&system);
+            let sim = Simulator::new(system);
             // The fast path runs *inside* the memo closure, so hit/miss
-            // counters and memoization behavior are identical either way;
-            // its result is bit-identical to `execute` by contract
-            // (differentially pinned), so so are the cached bytes. The
-            // borrowed entry point (`execute_fast_on`) skips the RunSpec:
-            // no job clone and no GPU-set allocation per cell.
-            if self.fastpath && self.fast_screen(point, job, &system) {
+            // counters and memoization behavior are identical either way.
+            // The engine proves eligibility exactly and declines what it
+            // cannot prove; what it prices is bit-identical to `execute`
+            // (differentially pinned on every sweep cell), so so are the
+            // cached bytes. The borrowed entry point (`execute_fast_on`)
+            // skips the RunSpec: no job clone and no GPU-set allocation
+            // per cell.
+            if self.fastpath {
                 let n = point.gpus as usize;
                 let fast = if n <= 64 {
                     let mut ordinals = [0u32; 64];
@@ -535,105 +542,8 @@ impl Ctx {
             self.uncached.fetch_add(1, Ordering::Relaxed);
             return simulate();
         }
-        let window = Simulator::new(&system).window();
+        let window = Simulator::new(system).window();
         self.steps.get_or_compute(point.key(job, window), simulate)
-    }
-
-    /// Roofline pre-screen for the analytic fast path: worth attempting
-    /// only when the template's device time (lower-bounded by the
-    /// attainable roof) can plausibly cover the host's per-iteration feed
-    /// work — i.e. the cell is compute- or bandwidth-bound, not
-    /// host-bound. Soundness does not depend on this verdict: the engine
-    /// re-proves eligibility exactly and declines otherwise; the screen
-    /// only spares ineligible cells the warmup replay. The verdict is
-    /// computed once per (benchmark, reference, system, precision, gpus)
-    /// combo *at the template's own batch size*, so it is deterministic
-    /// regardless of which cell of a sweep arrives first.
-    fn fast_screen(&self, point: &TrainPoint, job: &TrainingJob, system: &SystemSpec) -> bool {
-        let key = (
-            point.benchmark,
-            point.reference,
-            point.system,
-            job.precision(),
-            point.gpus,
-            job.partition(),
-        );
-        if let Some(&verdict) = lock(&self.fast_screen).get(&key) {
-            return verdict;
-        }
-        let verdict = self.screen_verdict(point, job.precision(), system);
-        lock(&self.fast_screen).insert(key, verdict);
-        verdict
-    }
-
-    fn screen_verdict(
-        &self,
-        point: &TrainPoint,
-        precision: PrecisionPolicy,
-        system: &SystemSpec,
-    ) -> bool {
-        // Clone the interned template instead of rebuilding it from the
-        // zoo — the verdict is per-combo, but a strided sweep can visit
-        // hundreds of combos.
-        let template =
-            (*self.base_job(point.benchmark, point.reference)).clone().with_precision(precision);
-        let k = point.gpus as u64;
-        let batch = template.effective_per_gpu_batch(k.max(1));
-        let pass = template
-            .model()
-            .pass_cost(batch, template.precision());
-        let flops = pass.total_flops().as_u64();
-        let bytes = pass.mem_bytes.as_u64();
-        if flops == 0 || bytes == 0 {
-            // Degenerate template; attempt the fast path and let the
-            // engine's exact checks (and typed errors) decide.
-            return true;
-        }
-        // Device-time lower bound from the attainable roof, at the
-        // fastest ceiling the policy can reach — of the *slice* the job
-        // runs inside, when the point is partitioned.
-        let parent = system.gpu_model().spec();
-        let gpu_spec = match point.partition {
-            None => parent,
-            Some(p) => match p.sliced_spec(&parent) {
-                Ok(sliced) => sliced,
-                // An invalid slice is a typed engine error either way;
-                // attempt the fast path so both loops reject identically.
-                Err(_) => return true,
-            },
-        };
-        let roofline = RooflineModel::for_gpu(&gpu_spec);
-        let roof_precision = match template.precision() {
-            PrecisionPolicy::Amp => Precision::TensorCore,
-            _ => Precision::Single,
-        };
-        let intensity = flops as f64 / bytes as f64;
-        let attainable = roofline.attainable(intensity, roof_precision);
-        let device_secs = flops as f64 / attainable.as_flops_per_sec();
-        // Host feed upper bound per iteration: the whole loader chain
-        // plus every GPU's H2D transfer as if they shared one uplink.
-        let cpu = system.cpu_model().spec();
-        let sockets = system.cpu_count() as f64;
-        let pipeline = template.pipeline();
-        let prep_secs =
-            pipeline.host_time_per_batch(&cpu, batch).as_secs() / sockets * point.gpus as f64;
-        let h2d = pipeline.h2d_bytes_per_batch(batch);
-        let worst_uplink = (0..point.gpus)
-            .filter_map(|g| {
-                let path = system.topology().gpu_host_path(g).ok()?;
-                path.links
-                    .iter()
-                    .map(|l| l.effective_bandwidth().as_bytes_per_sec())
-                    .min_by(|a, b| a.partial_cmp(b).expect("finite bandwidths"))
-            })
-            .min_by(|a, b| a.partial_cmp(b).expect("finite bandwidths"));
-        let Some(uplink) = worst_uplink else {
-            // Unroutable or invalid GPU set: attempt the fast path so the
-            // engine surfaces the identical typed error either way.
-            return true;
-        };
-        let h2d_secs = h2d.as_u64() as f64 / uplink * point.gpus as f64;
-        device_secs >= prep_secs + h2d_secs
     }
 
     /// A characterized workload run (either suite), memoized.
@@ -653,13 +563,13 @@ impl Ctx {
                 let outcome = self.outcome(&TrainPoint::new(id, system, gpus))?;
                 Ok(workloads::trainable_from_outcome(
                     id,
-                    &self.system_spec(system),
+                    self.system_spec(system),
                     &outcome,
                 ))
             }
             WorkloadSpec::DeepBench(id) => {
                 Ctx::charge()?;
-                let compute = || workloads::run(spec, &self.system_spec(system), gpus);
+                let compute = || workloads::run(spec, self.system_spec(system), gpus);
                 if !self.memoize {
                     self.uncached.fetch_add(1, Ordering::Relaxed);
                     return compute();
@@ -685,8 +595,7 @@ impl Ctx {
     ) -> Result<TrainingOutcome, SimError> {
         Ctx::charge()?;
         self.uncached.fetch_add(1, Ordering::Relaxed);
-        let spec = self.system_spec(system);
-        let sim = Simulator::new(&spec);
+        let sim = Simulator::new(self.system_spec(system));
         let ordinals: Vec<u32> = (0..gpus).collect();
         train(&sim, job, &ordinals)
     }
@@ -1077,12 +986,6 @@ pub const RETRIES_ENV: &str = "MLPERF_RETRIES";
 /// Environment variable setting a per-experiment simulation-request
 /// budget (cooperative, deterministic — not wall-clock).
 pub const STEP_BUDGET_ENV: &str = "MLPERF_STEP_BUDGET";
-/// Environment variable disabling the engine's analytic fast path
-/// (`off`/`0`/`false`/`no`): every point then takes the full DES loop.
-/// Output bytes are identical either way — this is a performance escape
-/// hatch and an A/B lever for the differential batteries, not a semantic
-/// knob.
-pub const FASTPATH_ENV: &str = "MLPERF_FASTPATH";
 /// Environment variable setting how many seeded runs each Training cell
 /// replicates (1–512; default 1 = point pricing, byte-identical to the
 /// pre-replication suite). Above one, sweeps and cell queries append the

@@ -631,9 +631,8 @@ impl Server {
     fn preflight(&self, spec: &CellSpec) -> Result<(), CellError> {
         let point = spec.train_point()?;
         let job = self.ctx.job_for(&point);
-        let system_spec = self.ctx.system_spec(point.system);
         let ordinals: Vec<u32> = (0..point.gpus).collect();
-        Simulator::new(&system_spec)
+        Simulator::new(self.ctx.system_spec(point.system))
             .preflight(&job, &ordinals)
             .map(|_| ())
             .map_err(CellError::from_sim)

@@ -171,14 +171,17 @@ impl<'a> Cursor<'a> {
                 }
                 c if c < 0x20 => return Err("control character in string".into()),
                 _ => {
-                    // Copy one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
+                    // Copy the run of plain bytes up to the next quote,
+                    // escape or control byte. Those are all ASCII, so on
+                    // a `&str` input the run is whole UTF-8 scalars and
+                    // the check below never fails.
                     let start = self.i;
-                    self.i += 1;
-                    while self.i < self.s.len() && (self.s[self.i] & 0xC0) == 0x80 {
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                         self.i += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.s[start..self.i]).expect("valid UTF-8"));
+                    let run = std::str::from_utf8(&self.s[start..self.i])
+                        .map_err(|_| "invalid UTF-8 in string")?;
+                    out.push_str(run);
                 }
             }
         }
@@ -203,9 +206,8 @@ impl<'a> Cursor<'a> {
         if self.i == start {
             return Err("expected a number".into());
         }
-        Ok(std::str::from_utf8(&self.s[start..self.i])
-            .expect("ASCII number token")
-            .to_string())
+        // Every byte of the token matched an ASCII class above.
+        Ok(self.s[start..self.i].iter().map(|&b| char::from(b)).collect())
     }
 
     fn parse_value(&mut self) -> Result<Json, String> {
@@ -300,14 +302,17 @@ fn u64_field(fields: &[(String, Json)], key: &str) -> Result<Option<u64>, String
 fn f64_field(fields: &[(String, Json)], key: &str) -> Result<Option<f64>, String> {
     match get(fields, key) {
         None => Ok(None),
-        Some(Json::Num(raw)) => raw
-            .parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite())
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be a finite number")),
+        Some(Json::Num(raw)) => finite(raw, key).map(Some),
         Some(_) => Err(format!("field '{key}' must be a number")),
     }
+}
+
+/// A number token's value, when it is a finite `f64`.
+fn finite(raw: &str, key: &str) -> Result<f64, String> {
+    raw.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("field '{key}' must be a finite number"))
 }
 
 /// Every field the v1 schema knows, per query kind (the closed-schema
@@ -352,29 +357,35 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
         .ok_or_else(|| fail("missing required field 'kind'".to_string()))?;
     let budget = u64_field(&fields, "budget").map_err(&fail)?;
 
-    let allowed: Vec<&str> = match kind.as_str() {
-        "ping" | "shutdown" => ENVELOPE_FIELDS.to_vec(),
-        "cell" => ENVELOPE_FIELDS.iter().chain(CELL_FIELDS).copied().collect(),
-        "sweep" => ENVELOPE_FIELDS.iter().chain(SWEEP_FIELDS).copied().collect(),
+    enum Kind {
+        Ping,
+        Shutdown,
+        Cell,
+        Sweep,
+    }
+    let (parsed, extra): (Kind, &[&str]) = match kind.as_str() {
+        "ping" => (Kind::Ping, &[]),
+        "shutdown" => (Kind::Shutdown, &[]),
+        "cell" => (Kind::Cell, CELL_FIELDS),
+        "sweep" => (Kind::Sweep, SWEEP_FIELDS),
         other => return Err(fail(format!("unknown query kind '{other}'"))),
     };
     for (k, _) in &fields {
-        if !allowed.contains(&k.as_str()) {
+        if !ENVELOPE_FIELDS.contains(&k.as_str()) && !extra.contains(&k.as_str()) {
             return Err(fail(format!("unknown field '{k}' for kind '{kind}'")));
         }
     }
 
-    let query = match kind.as_str() {
-        "ping" => QueryV1::Ping,
-        "shutdown" => QueryV1::Shutdown,
-        "sweep" => {
+    let query = match parsed {
+        Kind::Ping => QueryV1::Ping,
+        Kind::Shutdown => QueryV1::Shutdown,
+        Kind::Sweep => {
             let name = str_field(&fields, "sweep")
                 .map_err(&fail)?
                 .ok_or_else(|| fail("missing required field 'sweep'".to_string()))?;
             QueryV1::Sweep(name)
         }
-        "cell" => QueryV1::Cell(parse_cell(&fields).map_err(&fail)?),
-        _ => unreachable!("kind validated above"),
+        Kind::Cell => QueryV1::Cell(parse_cell(&fields).map_err(&fail)?),
     };
     Ok(Request { id, query, budget })
 }
@@ -406,9 +417,7 @@ fn parse_cell(fields: &[(String, Json)]) -> Result<CellSpec, String> {
         None => None,
         Some(Json::Str(s)) if s == "daly" => Some(IntervalChoice::Daly),
         Some(Json::Str(s)) => return Err(format!("unknown interval '{s}'")),
-        Some(Json::Num(_)) => Some(IntervalChoice::FixedMin(
-            f64_field(fields, "interval")?.expect("field is present"),
-        )),
+        Some(Json::Num(raw)) => Some(IntervalChoice::FixedMin(finite(raw, "interval")?)),
         Some(_) => return Err("field 'interval' must be 'daly' or minutes".to_string()),
     };
     // `runs` outside 1..=MAX_RUNS is a typed bad-request, never a clamp:

@@ -640,8 +640,8 @@ pub fn price_cell(ctx: &Ctx, spec: &CellSpec) -> Result<CellValue, CellError> {
             let work = outcome.total_time;
             let job = ctx.base_job(point.benchmark, false);
             let probe = CheckpointSpec::new(Seconds::from_minutes(10.0), CHECKPOINT_DEVICE);
-            let write_cost = probe.write_cost(&job);
-            let restart_cost = probe.restart_cost(&job);
+            let write_cost = probe.write_cost(job);
+            let restart_cost = probe.restart_cost(job);
             let mtbf = Seconds::from_hours(mtbf_hours);
             let tau = match choice {
                 IntervalChoice::FixedMin(m) => Seconds::from_minutes(m),

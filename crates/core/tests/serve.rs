@@ -529,3 +529,103 @@ fn warm_server_and_batch_sweep_share_one_disk_cache_safely() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Request lines the parser is fuzzed from: the shapes this battery
+/// sends, plus the query mix `scripts/ci.sh` replays against the daemon
+/// (well-formed JSON, though some are bad requests by design).
+fn seed_lines() -> Vec<String> {
+    const CELL: &str = r#""kind":"cell","workload":"MLPf_Res50_MX","system":"C4140_(K)","gpus":1,"batch":16"#;
+    let mut lines: Vec<String> = vec![
+        r#"{"v":1,"kind":"ping"}"#.into(),
+        r#"{"v":1,"kind":"shutdown"}"#.into(),
+        r#"{"v":1,"kind":"cell","workload":"MLPf_SSD_Py","system":"DSS_8440","gpus":4}"#.into(),
+        r#"{"v":1,"kind":"cell","workload":"MLPf_XFMR_Py","system":"DSS_8440","gpus":4,"cell_kind":"expected-ttt","mtbf_hours":24,"interval":10}"#.into(),
+        r#"{"v":1,"id":"b10","kind":"cell","workload":"MLPf_NCF_Py","system":"DSS_8440","gpus":1,"budget":10}"#.into(),
+        r#"{"v":1,"id":"wall","kind":"sweep","sweep":"batch_wall","budget":10}"#.into(),
+        format!(r#"{{"v":1,"id":"sliced",{CELL},"partition":"1of4x2"}}"#),
+        format!(r#"{{"v":1,"id":"r8",{CELL},"runs":8}}"#),
+        r#"{"v":1,"id":"a\"b\\c\ndA😀","kind":"ping"}"#.into(),
+        r#"{"v":1,"kind":"cell","workload":"resnet","system":"DSS_8440","gpus":4}"#.into(),
+        r#"{"v":1,"kind":"ping","extra":true}"#.into(),
+        r#"{"v":1,"kind":"sweep","sweep":"nope","budget":null}"#.into(),
+    ];
+    const CI: &str = include_str!("../../../scripts/ci.sh");
+    let mix = CI
+        .split_once("serve_mix.ndjson\" <<'EOF'\n")
+        .and_then(|(_, rest)| rest.split_once("\nEOF\n"))
+        .map(|(mix, _)| mix)
+        .expect("ci.sh carries the serve query mix");
+    lines.extend(mix.lines().map(str::to_string));
+    assert!(lines.len() >= 21, "ci.sh's serve query mix went missing");
+    lines
+}
+
+/// The parser's contract on hostile bytes: a typed `Err` with a message,
+/// or `Ok` — never a panic. Bytes are decoded lossily, the way any
+/// non-UTF-8 frame would be before it reached the parser.
+fn parse_never_panics(bytes: &[u8]) -> Result<(), String> {
+    let line = String::from_utf8_lossy(bytes);
+    match protocol::parse_request(&line) {
+        Err((id, message)) if id.is_empty() || message.is_empty() => {
+            Err(format!("untyped error ({id:?}, {message:?}) for {line:?}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+#[test]
+fn every_truncation_of_a_valid_request_is_a_typed_answer() {
+    for line in seed_lines() {
+        for cut in 0..=line.len() {
+            parse_never_panics(&line.as_bytes()[..cut]).unwrap();
+        }
+    }
+}
+
+mod request_fuzz {
+    use super::{parse_never_panics, seed_lines};
+    use mlperf_testkit::prop::{elements, one_of, vec_of, Gen};
+
+    /// Bytes that steer the parser into its escape, number, nesting and
+    /// UTF-8 paths, mixed with arbitrary bytes.
+    fn arb_byte() -> impl Gen<Value = u8> {
+        const SPECIAL: &[u8] = b"\"\\u{}[],:-+.eE09tfn \t\n\x00\x1f\x7f\xc3\xa9\xed\xa0\xf0\x9f";
+        one_of(vec![elements(SPECIAL).boxed(), (0u32..256).prop_map(|b| b as u8).boxed()])
+    }
+
+    /// Apply `(op, position, byte)` edits (0 = overwrite, 1 = insert,
+    /// 2 = delete) to `line`. An odd `cut` then truncates the result at
+    /// `cut / 2` modulo its length + 1; an even one keeps it whole.
+    fn mutate(line: &str, edits: &[(u32, u64, u8)], cut: u64) -> Vec<u8> {
+        let mut bytes = line.as_bytes().to_vec();
+        for &(op, pos, byte) in edits {
+            let at = (pos % (bytes.len() as u64 + 1)) as usize;
+            match op {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        if cut % 2 == 1 {
+            bytes.truncate((cut / 2 % (bytes.len() as u64 + 1)) as usize);
+        }
+        bytes
+    }
+
+    mlperf_testkit::properties! {
+        /// Byte-mutated and truncated request lines always get a typed
+        /// answer. Every case applies one edit plan to every seed line.
+        #[test]
+        fn mutated_requests_never_panic_the_parser(
+            edits in vec_of((0u32..3, 0u64..4096, arb_byte()), 1usize..6),
+            cut in 0u64..4096
+        ) {
+            for line in seed_lines() {
+                parse_never_panics(&mutate(&line, &edits, cut))?;
+            }
+        }
+    }
+}
